@@ -128,10 +128,12 @@ class FlashController:
                                 bytes=total))
 
         # Program out-of-place first so we know which channels are hit.
+        # The channel is the top field of a PPN the FTL just allocated.
         by_channel: dict[int, int] = defaultdict(int)
+        write = self.ftl.write
+        pages_per_channel = self.geometry.total_pages // self.geometry.channels
         for lpn, data in zip(lpns, pages):
-            ppn = self.ftl.write(lpn, data)
-            by_channel[self.geometry.channel_of(ppn)] += 1
+            by_channel[write(lpn, data) // pages_per_channel] += 1
 
         occupancy = self.timing.channel_occupancy_per_program(self.geometry)
         channel_jobs = [
@@ -187,10 +189,6 @@ class FlashController:
                     ppn=ppn, rounds=rounds))
 
     # -- instantaneous helpers ------------------------------------------------
-
-    def read_lpns_untimed(self, lpns: Sequence[int]) -> list[bytes]:
-        """Read page bytes without charging simulated time (bulk loading)."""
-        return [self.ftl.read(lpn) for lpn in lpns]
 
     def internal_read_rate(self) -> float:
         """Sustained internal sequential read bandwidth in bytes/s.

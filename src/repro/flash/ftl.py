@@ -21,12 +21,14 @@ The FTL maps Logical Page Numbers (the host's view; one logical page is one
   overwrites (an overwrite invalidates the old copy's die but programs the
   round-robin target die), so writes shed from squeezed dies to the die
   with the most reclaimable space.
-* **Sustained-GC indexes** — a persistent PPN -> LPN reverse map (updated
-  on program/invalidate, so relocation never rebuilds it from the forward
-  map) and a per-die lazy min-heap over sealed blocks' valid counts (so
-  victim selection never linear-scans the die). Both are pure indexes:
-  victims, relocations, and stats are bit-identical to the original
-  scan-based collector.
+* **Block-granular bookkeeping** — a block is one flat integer id
+  (``ppn // pages_per_block``) keying the valid-count and age tables;
+  each die maintains its free-page counter and a lazy min-heap over sealed
+  blocks' valid counts (the greedy pick is O(log candidates)). There is no
+  reverse map: a page's owner is the LPN in its out-of-band metadata.
+* **One write core** — :meth:`PageMappedFtl.write` and ``write_bulk`` are
+  two doors onto one per-page core, so a bulk load leaves exactly the state
+  the equivalent writes would (``tests/test_ftl_state_golden.py`` pins it).
 
 Stats expose host writes vs. GC relocations (the write-amplification
 factor the tests check) plus per-block erase counts — the wear histogram
@@ -36,13 +38,16 @@ and spread the leveling policy is gated on.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Union
+from operator import attrgetter
+from typing import Iterable, Union
 
-from repro.errors import DeviceError, FlashError, ProgramFailError
-from repro.flash.gc import GcPolicy, GreedyGcPolicy, make_gc_policy
+from repro.errors import DeviceError, FlashError
+from repro.faults import SITE_NAND_PROGRAM, check_fault
+from repro.flash.gc import GcPolicy, make_gc_policy
 from repro.flash.geometry import NandGeometry
-from repro.flash.nand import NandArray, PageState
+from repro.flash.nand import ERASED, INVALID, PROGRAMMED, NandArray
 
 #: Fraction of raw capacity reserved as over-provisioning.
 DEFAULT_OVERPROVISION = 0.08
@@ -54,6 +59,10 @@ GC_HEADROOM_BLOCKS = 2
 #: Consecutive NAND program failures tolerated for one logical write before
 #: the device gives up (each failed attempt burns one physical slot).
 PROGRAM_RETRY_LIMIT = 8
+
+#: Pressure-steering order: most immediately-free space first, ties toward
+#: reclaimable space so GC can make room (``max`` keeps the first maximum).
+_BY_SPACE = attrgetter("free_pages", "invalid_pages")
 
 
 @dataclass
@@ -94,9 +103,13 @@ class _Die:
 
     channel: int
     chip: int
+    base: int               # flat id of this die's block 0
     free_blocks: list[int] = field(default_factory=list)
     active_block: int = -1
     next_page: int = 0
+    #: Pages writable without GC (free blocks plus the active block's tail),
+    #: maintained at: slot taken, block freed, spare rotated in, sealed short.
+    free_pages: int = 0
     spare_block: int = -1   # always-erased GC relocation reserve
     invalid_pages: int = 0  # reclaimable pages on this die
     #: GC candidate blocks: written and rotated out of the active slot
@@ -127,40 +140,48 @@ class PageMappedFtl:
         #: (``sim.obs``) — the FTL itself is untimed firmware state.
         self._sim = sim
         self._map: dict[int, int] = {}
-        #: Persistent PPN -> LPN reverse index (exact inverse of _map),
-        #: maintained on program/invalidate so GC relocation is O(live
-        #: pages) instead of O(map size) per collected block.
-        self._rmap: dict[int, int] = {}
-        #: Write sequence of each block's most recent program — the age
-        #: signal the cost-benefit policy weighs.
-        self._block_write_seq: dict[tuple[int, int, int], int] = {}
-        self._valid_count: dict[tuple[int, int, int], int] = {}
+        self._pages_per_block = pages_per_block = geometry.pages_per_block
+        self._page_nbytes = geometry.page_nbytes
+        #: GC keeps at least this many free pages per die before a write.
+        self._headroom = GC_HEADROOM_BLOCKS * pages_per_block
+        self._reset_block_tables()
         self._dies: list[_Die] = []
-        self._die_of: dict[tuple[int, int], _Die] = {}
         # Channel-minor order: consecutive writes land on consecutive
         # *channels* (then rotate chips), so even short sequential runs
         # read back with full channel-level parallelism (§2).
         for chip in range(geometry.chips_per_channel):
             for channel in range(geometry.channels):
                 die = _Die(channel, chip,
+                           (channel * geometry.chips_per_channel + chip)
+                           * geometry.blocks_per_chip,
                            free_blocks=list(range(geometry.blocks_per_chip)))
                 die.spare_block = die.free_blocks.pop()
+                die.free_pages = len(die.free_blocks) * pages_per_block
                 self._dies.append(die)
-                self._die_of[(channel, chip)] = die
+        #: Dies in flat-id order: block ``flat`` is on
+        #: ``_die_of_block[flat // blocks_per_chip]``.
+        self._die_of_block = sorted(self._dies, key=attrgetter("base"))
         self._next_die = 0
-        self._gc_victims: set[tuple[int, int, int]] = set()
+        self._gc_victims: set[int] = set()   # flat ids mid-collection
         self._write_seq = 0
         self._needs_recovery = False
         # Exported capacity: the requested over-provisioning, floored by a
         # hard per-die reserve (the spare block plus GC headroom plus one
         # block of slack).
-        per_die_reserve = (GC_HEADROOM_BLOCKS + 2) * geometry.pages_per_block
+        per_die_reserve = (GC_HEADROOM_BLOCKS + 2) * pages_per_block
         reserve_pages = max(
             int(geometry.total_pages * overprovision),
             geometry.dies * per_die_reserve)
         if reserve_pages >= geometry.total_pages:
             raise DeviceError("geometry too small for the GC reserve")
         self.logical_capacity_pages = geometry.total_pages - reserve_pages
+
+    def _reset_block_tables(self) -> None:
+        """Empty the per-block tables: flat id -> live pages, and flat id ->
+        write sequence of the block's newest program (the age signal the
+        cost-benefit policy weighs). Absent means 0."""
+        self._valid: dict[int, int] = defaultdict(int)
+        self._block_seq: dict[int, int] = defaultdict(int)
 
     # -- host-facing operations --------------------------------------------
 
@@ -192,6 +213,14 @@ class PageMappedFtl:
         """Number of live logical pages."""
         return len(self._map)
 
+    def valid_pages(self, channel: int, chip: int, block: int) -> int:
+        """Live pages currently in one physical block."""
+        return self._valid[self._flat_block(channel, chip, block)]
+
+    def is_collecting(self, channel: int, chip: int, block: int) -> bool:
+        """True while GC is relocating out of this block."""
+        return self._flat_block(channel, chip, block) in self._gc_victims
+
     def read(self, lpn: int) -> bytes:
         """Read the bytes stored at a logical page."""
         return self.nand.read(self.lookup(lpn))
@@ -199,100 +228,18 @@ class PageMappedFtl:
     def write(self, lpn: int, data: bytes) -> int:
         """Write a logical page out-of-place; returns the new PPN."""
         self._check_recovered()
-        self._check_lpn(lpn)
-        if (lpn not in self._map
-                and self.mapped_pages >= self.logical_capacity_pages):
-            raise DeviceError("device is at logical capacity")
-        old = self._map.get(lpn)
-        if old is not None:
-            self._invalidate_ppn(old)
-        die = self._choose_die()
-        # Maintain headroom *before* programming, so GC never encounters a
-        # programmed page without a logical owner.
-        self._maybe_collect(die)
-        ppn = self._program_on_die(die, data, lpn)
-        self.stats.host_writes += 1
-        self._map[lpn] = ppn
-        return ppn
+        return self._write_page(lpn, data)
 
-    def write_bulk(self, first_lpn: int, pages: list[bytes]) -> None:
-        """Write a run of fresh logical pages with one Python loop.
+    def write_bulk(self, first_lpn: int, pages: Iterable[bytes]) -> None:
+        """Write a run of logical pages starting at ``first_lpn``.
 
-        Produces byte-for-byte the FTL and NAND state the equivalent
-        sequence of :meth:`write` calls would — same PPNs (so the same
-        channel striping and therefore the same simulated read timing),
-        same write sequence numbers, same out-of-band metadata, same
-        stats — while skipping the per-page call fan-out. The fast path
-        only applies when no :meth:`write` call could deviate from pure
-        round-robin allocation: no fault plan armed, every LPN unmapped,
-        capacity ample, and every die keeping GC headroom throughout the
-        load. Anything else falls back to the per-page loop.
+        The untimed bulk-load door onto the same per-page core as
+        :meth:`write`: same PPNs (hence channel striping and simulated read
+        timing), write sequence, out-of-band metadata, stats, GC decisions.
         """
         self._check_recovered()
-        n = len(pages)
-        if n == 0:
-            return
-        self._check_lpn(first_lpn)
-        dies = self._dies
-        die_count = len(dies)
-        geometry = self.geometry
-        pages_per_block = geometry.pages_per_block
-        headroom = 2 * pages_per_block
-        # Pure round-robin assigns each die an exact share; free pages only
-        # shrink during the load, so checking the *final* headroom covers
-        # every intermediate _choose_die / _maybe_collect decision.
-        shares = [n // die_count] * die_count
-        for k in range(n % die_count):
-            shares[(self._next_die + k) % die_count] += 1
-        fast = (self.nand.faults is None
-                and len(self._map) + n <= self.logical_capacity_pages
-                and all(self._die_free_pages(die) - shares[i] > headroom
-                        for i, die in enumerate(dies))
-                and not any(first_lpn + k in self._map for k in range(n)))
-        if not fast:
-            for offset, data in enumerate(pages):
-                self.write(first_lpn + offset, data)
-            return
-        page_nbytes = geometry.page_nbytes
-        nand = self.nand
-        data_map, state_map, oob_map = nand._data, nand._state, nand._oob
-        valid = self._valid_count
-        lpn_map = self._map
-        rmap = self._rmap
-        block_seq = self._block_write_seq
-        seq = self._write_seq
-        index = self._next_die
-        blocks_per_chip = geometry.blocks_per_chip
-        chips_per_channel = geometry.chips_per_channel
-        for offset, data in enumerate(pages):
-            if len(data) != page_nbytes:
-                raise FlashError(
-                    f"program of {len(data)} bytes; page is {page_nbytes}")
-            die = dies[index]
-            index = (index + 1) % die_count
-            if die.active_block < 0 or die.next_page >= pages_per_block:
-                if die.active_block >= 0:
-                    self._seal_block(die, die.active_block)
-                die.active_block = die.free_blocks.pop(0)
-                die.next_page = 0
-            ppn = (((die.channel * chips_per_channel + die.chip)
-                    * blocks_per_chip + die.active_block)
-                   * pages_per_block + die.next_page)
-            die.next_page += 1
-            seq += 1
-            data_map[ppn] = bytes(data)
-            state_map[ppn] = PageState.PROGRAMMED
-            oob_map[ppn] = (first_lpn + offset, seq)
-            key = (die.channel, die.chip, die.active_block)
-            valid[key] = valid.get(key, 0) + 1
-            block_seq[key] = seq
-            lpn = first_lpn + offset
-            lpn_map[lpn] = ppn
-            rmap[ppn] = lpn
-        nand.programs += n
-        self.stats.host_writes += n
-        self._write_seq = seq
-        self._next_die = index
+        for lpn, data in enumerate(pages, first_lpn):
+            self._write_page(lpn, data)
 
     def trim(self, lpn: int) -> None:
         """Discard a logical page (TRIM); no-op if unmapped."""
@@ -303,22 +250,32 @@ class PageMappedFtl:
 
     # -- allocation & garbage collection ------------------------------------
 
-    def _choose_die(self) -> _Die:
-        die = self._dies[self._next_die]
-        self._next_die = (self._next_die + 1) % len(self._dies)
-        if self._die_free_pages(die) > 2 * self.geometry.pages_per_block:
-            return die
-        # The round-robin target is squeezed: shed to the die with the most
-        # immediately-free space, breaking ties toward reclaimable space so
-        # GC can make room.
-        return max(self._dies,
-                   key=lambda d: (self._die_free_pages(d), d.invalid_pages))
-
-    def _die_free_pages(self, die: _Die) -> int:
-        free = len(die.free_blocks) * self.geometry.pages_per_block
-        if die.active_block >= 0:
-            free += self.geometry.pages_per_block - die.next_page
-        return free
+    def _write_page(self, lpn: int, data: bytes) -> int:
+        """The one write path: supersede, pick a die, keep headroom, program."""
+        if lpn < 0:
+            raise DeviceError(f"negative LPN {lpn}")
+        mapping = self._map
+        old = mapping.get(lpn)
+        if old is not None:
+            self._invalidate_ppn(old)
+        elif len(mapping) >= self.logical_capacity_pages:
+            raise DeviceError("device is at logical capacity")
+        dies = self._dies
+        index = self._next_die
+        die = dies[index]
+        self._next_die = (index + 1) % len(dies)
+        headroom = self._headroom
+        if die.free_pages <= headroom:
+            # The round-robin target is squeezed: shed to the roomiest die,
+            # and compact it *before* programming, so GC never meets a
+            # programmed page without a logical owner.
+            die = max(dies, key=_BY_SPACE)
+            while die.free_pages < headroom and self._collect(die):
+                pass
+        ppn = self._program_on_die(die, data, lpn)
+        self.stats.host_writes += 1
+        mapping[lpn] = ppn
+        return ppn
 
     def _program_on_die(self, die: _Die, data: bytes, lpn: int) -> int:
         """Program ``data`` for ``lpn``, retrying past failed NAND slots.
@@ -326,51 +283,64 @@ class PageMappedFtl:
         The page carries (LPN, sequence) out-of-band metadata so
         :meth:`recover` can rebuild the map after an unclean shutdown. A
         failed program leaves its slot INVALID (reclaimed at erase) and the
-        write moves to the next slot, as real firmware does.
+        write moves to the next slot, as real firmware does. Every check of
+        :meth:`NandArray.program` runs here, bar the range of a PPN the FTL
+        itself just computed.
         """
-        for __ in range(PROGRAM_RETRY_LIMIT):
-            ppn = self._take_slot(die)
-            self._write_seq += 1
-            try:
-                self.nand.program(ppn, data, oob=(lpn, self._write_seq))
-            except ProgramFailError:
+        if len(data) != self._page_nbytes:
+            raise FlashError(f"program of {len(data)} bytes; page is "
+                             f"{self._page_nbytes}")
+        nand = self.nand
+        blocks = nand.blocks
+        pages_per_block = self._pages_per_block
+        failures = 0
+        while failures < PROGRAM_RETRY_LIMIT:
+            if die.active_block < 0 or die.next_page >= pages_per_block:
+                self._open_block(die)
+            page = die.next_page
+            die.next_page = page + 1
+            die.free_pages -= 1
+            flat = die.base + die.active_block
+            ppn = flat * pages_per_block + page
+            self._write_seq = seq = self._write_seq + 1
+            record = blocks.get(flat)
+            if record is None:
+                record = nand.open_block(flat)
+            state = record.state
+            if state[page] != ERASED:
+                raise FlashError(
+                    f"program of {nand.state(ppn).value} page {ppn} "
+                    "(erase-before-program violated)")
+            if nand.faults is not None and check_fault(
+                    nand.faults, SITE_NAND_PROGRAM, ppn=ppn) is not None:
+                state[page] = INVALID
+                nand.program_failures += 1
                 self.stats.program_retries += 1
                 die.invalid_pages += 1
+                failures += 1
                 continue
-            block_key = (die.channel, die.chip,
-                         self.geometry.unflatten(ppn)[2])
-            self._valid_count[block_key] = (
-                self._valid_count.get(block_key, 0) + 1)
-            self._block_write_seq[block_key] = self._write_seq
-            self._rmap[ppn] = lpn
+            if page == len(record.data):    # blocks fill in page order
+                record.data.append(bytes(data))
+                record.oob.append((lpn, seq))
+            else:                           # a failed slot left a gap
+                record.store(page, bytes(data), (lpn, seq))
+            state[page] = PROGRAMMED
+            nand.programs += 1
+            self._valid[flat] += 1
+            self._block_seq[flat] = seq
             return ppn
         raise DeviceError(
             f"die ({die.channel},{die.chip}) failed {PROGRAM_RETRY_LIMIT} "
             "consecutive page programs")
 
-    def _take_slot(self, die: _Die) -> int:
-        if (die.active_block < 0
-                or die.next_page >= self.geometry.pages_per_block):
-            if not die.free_blocks:
-                self._collect(die)
-            if not die.free_blocks:
-                raise DeviceError(
-                    f"die ({die.channel},{die.chip}) has no free blocks")
-            if die.active_block >= 0:
-                self._seal_block(die, die.active_block)
-            die.active_block = die.free_blocks.pop(0)
-            die.next_page = 0
-        ppn = self.geometry.ppn(die.channel, die.chip, die.active_block,
-                                die.next_page)
-        die.next_page += 1
-        return ppn
-
-    def _maybe_collect(self, die: _Die) -> None:
-        """Compact until the die has GC headroom (or nothing to reclaim)."""
-        target = GC_HEADROOM_BLOCKS * self.geometry.pages_per_block
-        while self._die_free_pages(die) < target:
-            if not self._collect(die):
-                break
+    def _open_block(self, die: _Die) -> None:
+        """Open a free block on a die whose active block is exhausted."""
+        if not die.free_blocks:
+            self._collect(die)
+        if not die.free_blocks:
+            raise DeviceError(
+                f"die ({die.channel},{die.chip}) has no free blocks")
+        self._activate(die, die.free_blocks.pop(0))
 
     def _collect(self, die: _Die) -> bool:
         """GC one block on ``die``; returns False when nothing is gained.
@@ -380,53 +350,50 @@ class PageMappedFtl:
         spare becomes the active block (its erased pages are the relocation
         destination) and the erased victim becomes the new spare.
         """
-        victim = self._pick_victim(die)
+        victim = self.gc_policy.pick_victim(self, die)
         if victim is None:
             return False
         channel, chip, block = victim
-        self._gc_victims.add(victim)
+        flat = self._flat_block(channel, chip, block)
+        pages_per_block = self._pages_per_block
+        nand = self.nand
+        self._gc_victims.add(flat)
         try:
-            first = self.geometry.ppn(channel, chip, block, 0)
-            states = [self.nand.state(ppn)
-                      for ppn in range(first,
-                                       first + self.geometry.pages_per_block)]
-            live_ppns = [first + offset for offset, state in enumerate(states)
-                         if state is PageState.PROGRAMMED]
-            invalid_in_block = sum(state is PageState.INVALID
-                                   for state in states)
+            record = nand.open_block(flat)
+            live = [page for page, code in enumerate(record.state)
+                    if code == PROGRAMMED]
+            invalid_in_block = record.state.count(INVALID)
             used_spare = False
-            if live_ppns and self._die_free_pages(die) < len(live_ppns):
-                # Emergency: rotate the spare in as the active block. The
-                # retired active block's unwritten tail is recovered when
-                # that block is eventually erased.
-                if die.active_block >= 0:
-                    self._seal_block(die, die.active_block)
-                die.active_block = die.spare_block
-                die.next_page = 0
+            if live and die.free_pages < len(live):
+                # Emergency: rotate the spare in as the active block.
+                self._activate(die, die.spare_block)
+                die.free_pages += pages_per_block
                 die.spare_block = -1
                 used_spare = True
-            for ppn in live_ppns:
-                lpn = self._rmap.get(ppn)
-                if lpn is None:
+            first = flat * pages_per_block
+            for page in live:
+                ppn = first + page
+                meta = record.oob[page]
+                if meta is None or self._map.get(meta[0]) != ppn:
                     raise FlashError(f"orphan programmed page {ppn}")
-                data = self.nand.read(ppn)
+                nand.reads += 1
                 self._invalidate_ppn(ppn)
-                new_ppn = self._program_on_die(die, data, lpn)
+                self._map[meta[0]] = self._program_on_die(
+                    die, record.data[page], meta[0])
                 self.stats.gc_relocations += 1
-                self._map[lpn] = new_ppn
-            self.nand.erase_block(channel, chip, block)
+            nand.erase_block(channel, chip, block)
             # The erase reclaims the block's pre-GC invalid pages plus the
             # ones relocation just created.
-            die.invalid_pages -= invalid_in_block + len(live_ppns)
-            self._valid_count.pop(victim, None)
-            self._block_write_seq.pop(victim, None)
+            die.invalid_pages -= invalid_in_block + len(live)
+            self._valid.pop(flat, None)
+            self._block_seq.pop(flat, None)
             die.sealed.discard(block)
             if used_spare or die.spare_block < 0:
                 die.spare_block = block
             else:
                 die.free_blocks.append(block)
+                die.free_pages += pages_per_block
             self.stats.erases += 1
-            flat = self._flat_block(victim)
             wear = self.stats.block_erases.get(flat, 0) + 1
             self.stats.block_erases[flat] = wear
             obs = None if self._sim is None else self._sim.obs
@@ -434,29 +401,29 @@ class PageMappedFtl:
                 obs.span("ftl.gc", track="ftl",
                          policy=self.gc_policy.name, channel=channel,
                          chip=chip, block=block,
-                         relocated=len(live_ppns),
+                         relocated=len(live),
                          reclaimed=invalid_in_block,
                          used_spare=used_spare).__enter__().finish()
                 obs.metrics.counter("ftl.gc.erases").inc()
-                if live_ppns:
-                    obs.metrics.counter("ftl.gc.relocations").inc(
-                        len(live_ppns))
+                if live:
+                    obs.metrics.counter("ftl.gc.relocations").inc(len(live))
                 obs.metrics.histogram("ftl.wear").observe(wear)
         finally:
-            self._gc_victims.discard(victim)
+            self._gc_victims.discard(flat)
         return True
 
-    def _pick_victim(self, die: _Die) -> tuple[int, int, int] | None:
-        """The configured policy's victim for ``die`` (None: no gain)."""
-        return self.gc_policy.pick_victim(self, die)
-
-    def _seal_block(self, die: _Die, block: int) -> None:
-        """Retire ``block`` from the active slot into the GC candidate set."""
-        die.sealed.add(block)
-        heapq.heappush(
-            die.victim_heap,
-            (self._valid_count.get((die.channel, die.chip, block), 0),
-             block))
+    def _activate(self, die: _Die, block: int) -> None:
+        """Make erased ``block`` the die's active block. The retired one
+        becomes a GC candidate; its unwritten tail, if any, stops counting
+        as free space until the block is erased."""
+        old = die.active_block
+        if old >= 0:
+            die.free_pages -= self._pages_per_block - die.next_page
+            die.sealed.add(old)
+            heapq.heappush(die.victim_heap,
+                           (self._valid[die.base + old], old))
+        die.active_block = block
+        die.next_page = 0
 
     def _min_valid_victim(self, die: _Die) -> tuple[int, int, int] | None:
         """The sealed block with the fewest valid pages (greedy pick).
@@ -468,32 +435,31 @@ class PageMappedFtl:
         heap = die.victim_heap
         while heap:
             valid, block = heap[0]
-            key = (die.channel, die.chip, block)
+            flat = die.base + block
             if (block not in die.sealed
-                    or key in self._gc_victims
-                    or self._valid_count.get(key, 0) != valid):
+                    or flat in self._gc_victims
+                    or self._valid[flat] != valid):
                 heapq.heappop(heap)
                 continue
             # Collecting a fully-valid block makes no progress; leave the
             # entry for when invalidations shrink it.
-            if valid >= self.geometry.pages_per_block:
+            if valid >= self._pages_per_block:
                 return None
-            return key
+            return die.channel, die.chip, block
         return None
 
-    def _flat_block(self, key: tuple[int, int, int]) -> int:
-        """Flatten a (channel, chip, block) key to one array-wide id."""
-        channel, chip, block = key
-        return ((channel * self.geometry.chips_per_channel + chip)
-                * self.geometry.blocks_per_chip + block)
+    def _flat_block(self, channel: int, chip: int, block: int) -> int:
+        """Flatten a (channel, chip, block) address to one array-wide id."""
+        return (self.geometry.ppn(channel, chip, block, 0)
+                // self._pages_per_block)
 
     # -- wear reporting -----------------------------------------------------
 
     def wear_histogram(self) -> dict[int, int]:
         """Erase-count -> block count over *all* physical blocks."""
         histogram = dict(self.stats.wear_histogram)
-        total = self.geometry.dies * self.geometry.blocks_per_chip
-        never = total - len(self.stats.block_erases)
+        never = (self.geometry.dies * self.geometry.blocks_per_chip
+                 - len(self.stats.block_erases))
         if never:
             histogram[0] = histogram.get(0, 0) + never
         return histogram
@@ -517,18 +483,10 @@ class PageMappedFtl:
         All host-facing operations raise until :meth:`recover` runs.
         """
         self._map = {}
-        self._rmap = {}
-        self._valid_count = {}
-        self._block_write_seq = {}
+        self._reset_block_tables()
         self._gc_victims = set()
-        for die in self._dies:
-            die.free_blocks = []
-            die.active_block = -1
-            die.next_page = 0
-            die.spare_block = -1
-            die.invalid_pages = 0
-            die.sealed = set()
-            die.victim_heap = []
+        for die in self._dies:   # back to a fresh, block-less die in place
+            die.__init__(die.channel, die.chip, die.base)
         self._needs_recovery = True
 
     def recover(self) -> int:
@@ -541,11 +499,12 @@ class PageMappedFtl:
         later GC erase) and one fully-erased block per die becomes the new
         spare. Returns the number of live pages remapped.
         """
-        geometry = self.geometry
+        nand = self.nand
+        pages_per_block = self._pages_per_block
         best: dict[int, tuple[int, int]] = {}   # lpn -> (seq, ppn)
         stale: list[int] = []
-        for ppn in self.nand.programmed_ppns():
-            meta = self.nand.oob(ppn)
+        for ppn in nand.programmed_ppns():
+            meta = nand.oob(ppn)
             if meta is None:
                 stale.append(ppn)
                 continue
@@ -558,57 +517,35 @@ class PageMappedFtl:
             else:
                 stale.append(ppn)
         for ppn in stale:
-            self.nand.invalidate(ppn)
+            nand.invalidate(ppn)
 
         self._map = {lpn: ppn for lpn, (__, ppn) in best.items()}
-        self._rmap = {ppn: lpn for lpn, ppn in self._map.items()}
-        self._valid_count = {}
-        for ppn in self._map.values():
-            channel, chip, block, __ = geometry.unflatten(ppn)
-            key = (channel, chip, block)
-            self._valid_count[key] = self._valid_count.get(key, 0) + 1
-        # Rebuild each block's age signal from the surviving out-of-band
-        # sequence numbers (max over the block's programmed pages).
-        self._block_write_seq = {}
-        for ppn in self.nand.programmed_ppns():
-            meta = self.nand.oob(ppn)
-            if meta is None:
-                continue
-            channel, chip, block, __ = geometry.unflatten(ppn)
-            key = (channel, chip, block)
-            seq = meta[1]
-            if seq > self._block_write_seq.get(key, 0):
-                self._block_write_seq[key] = seq
+        self._reset_block_tables()
+        for seq, ppn in best.values():
+            flat = ppn // pages_per_block
+            self._valid[flat] += 1
+            # A block's age signal: its newest surviving sequence number.
+            if seq > self._block_seq[flat]:
+                self._block_seq[flat] = seq
 
         for die in self._dies:
-            erased_blocks = []
-            invalid = 0
-            for block in range(geometry.blocks_per_chip):
-                first = geometry.ppn(die.channel, die.chip, block, 0)
-                states = [self.nand.state(ppn)
-                          for ppn in range(first,
-                                           first + geometry.pages_per_block)]
-                if all(state is PageState.ERASED for state in states):
-                    erased_blocks.append(block)
-                invalid += sum(state is PageState.INVALID
-                               for state in states)
-            if not erased_blocks:
+            die.__init__(die.channel, die.chip, die.base)
+            for block in range(self.geometry.blocks_per_chip):
+                record = nand.blocks.get(die.base + block)
+                if record is None or not any(record.state):
+                    die.free_blocks.append(block)
+                    continue
+                # Every non-erased block is conservatively sealed: with no
+                # active block, they are all GC candidates again.
+                die.sealed.add(block)
+                die.invalid_pages += record.state.count(INVALID)
+                die.victim_heap.append((self._valid[die.base + block], block))
+            if not die.free_blocks:
                 raise FlashError(
                     f"die ({die.channel},{die.chip}) has no erased block "
                     "left for the GC spare; device unrecoverable")
-            die.spare_block = erased_blocks.pop()
-            die.free_blocks = erased_blocks
-            die.active_block = -1
-            die.next_page = 0
-            die.invalid_pages = invalid
-            # Every non-erased block is conservatively sealed: with no
-            # active block, they are all GC candidates again.
-            die.sealed = (set(range(geometry.blocks_per_chip))
-                          - set(die.free_blocks) - {die.spare_block})
-            die.victim_heap = [
-                (self._valid_count.get((die.channel, die.chip, block), 0),
-                 block)
-                for block in sorted(die.sealed)]
+            die.spare_block = die.free_blocks.pop()
+            die.free_pages = len(die.free_blocks) * pages_per_block
             heapq.heapify(die.victim_heap)
 
         self._write_seq = max((seq for seq, __ in best.values()), default=0)
@@ -625,19 +562,20 @@ class PageMappedFtl:
                 "recover() must run first")
 
     def _invalidate_ppn(self, ppn: int) -> None:
-        self.nand.invalidate(ppn)
-        self._rmap.pop(ppn, None)
-        channel, chip, block, __ = self.geometry.unflatten(ppn)
-        key = (channel, chip, block)
-        count = self._valid_count.get(key, 1) - 1
-        self._valid_count[key] = count
-        die = self._die_of[(channel, chip)]
+        """Supersede a mapped page: NAND state, valid count, victim index."""
+        flat = ppn // self._pages_per_block
+        page = ppn % self._pages_per_block
+        record = self.nand.blocks.get(flat)
+        if record is None or record.state[page] != PROGRAMMED:
+            raise FlashError(
+                f"invalidate of {self.nand.state(ppn).value} page {ppn}")
+        record.state[page] = INVALID
+        self._valid[flat] = count = self._valid[flat] - 1
+        blocks_per_chip = self.geometry.blocks_per_chip
+        die = self._die_of_block[flat // blocks_per_chip]
+        block = flat % blocks_per_chip
         die.invalid_pages += 1
         if block in die.sealed:
             # Keep the victim index current: sealed counts only ever
             # shrink, so the freshest (smallest) entry is authoritative.
             heapq.heappush(die.victim_heap, (count, block))
-
-    def _check_lpn(self, lpn: int) -> None:
-        if lpn < 0:
-            raise DeviceError(f"negative LPN {lpn}")

@@ -54,7 +54,8 @@ class GcPolicy:
         """The next victim on ``die``, or None when nothing is gained.
 
         Implementations see the FTL's candidate ("sealed") block set and
-        its valid-count / age / wear indexes; they must never return the
+        its valid-count / age / wear tables (indexed by the flat block id
+        ``die.base + block``); they must never return the
         active block, the spare, a free block, or a block already being
         collected, and must return None when every candidate is fully
         valid (collecting it would reclaim nothing).
@@ -101,27 +102,26 @@ class CostBenefitGcPolicy(GcPolicy):
 
     def pick_victim(self, ftl: "PageMappedFtl",
                     die: "_Die") -> Optional[BlockKey]:
-        geometry = ftl.geometry
-        pages_per_block = geometry.pages_per_block
+        pages_per_block = ftl.geometry.pages_per_block
         write_seq = ftl._write_seq
         best: Optional[BlockKey] = None
         best_score = 0.0
         for block in sorted(die.sealed):
-            key = (die.channel, die.chip, block)
-            if key in ftl._gc_victims:
+            flat = die.base + block
+            if flat in ftl._gc_victims:
                 continue
-            valid = ftl._valid_count.get(key, 0)
+            valid = ftl._valid[flat]
             if valid >= pages_per_block:
                 continue  # collecting a fully-valid block gains nothing
             u = valid / pages_per_block
-            age = write_seq - ftl._block_write_seq.get(key, 0)
+            age = write_seq - ftl._block_seq[flat]
             score = (1.0 - u) / (1.0 + u) * (1.0 + age)
             if self.wear_leveling:
-                wear = ftl.stats.block_erases.get(ftl._flat_block(key), 0)
+                wear = ftl.stats.block_erases.get(flat, 0)
                 score /= 1.0 + self.wear_weight * wear
             if best is None or score > best_score or (
                     score == best_score and self._rng.random() < 0.5):
-                best, best_score = key, score
+                best, best_score = (die.channel, die.chip, block), score
         return best
 
 

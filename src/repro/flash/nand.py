@@ -6,9 +6,10 @@ The array enforces what firmware must live with:
 * a page can only be programmed once after an erase (no in-place update),
 * erases happen at block granularity.
 
-State is tracked per page; data is stored sparsely (only programmed pages
-hold bytes), so simulating a multi-GiB device costs memory proportional to
-the data actually written.
+State lives in per-block records keyed by one flat block id
+(``ppn // pages_per_block``). A record exists only from its block's first
+program to its erase, so simulating a multi-GiB device costs memory
+proportional to the data actually written, never to the geometry.
 """
 
 from __future__ import annotations
@@ -29,17 +30,49 @@ class PageState(enum.Enum):
     INVALID = "invalid"  # superseded data awaiting block erase
 
 
+#: Page-state codes as stored in :attr:`BlockRecord.state`; a code indexes
+#: :data:`_STATES` back to the public enum.
+ERASED, PROGRAMMED, INVALID = 0, 1, 2
+_STATES = (PageState.ERASED, PageState.PROGRAMMED, PageState.INVALID)
+
+
+class BlockRecord:
+    """What one non-erased block holds, indexed by page offset.
+
+    ``state`` has one byte per page; ``data`` and ``oob`` (the owning LPN
+    and a monotonic write sequence — what real firmware stashes in the spare
+    area so the mapping survives power loss) grow only as far as the highest
+    page programmed.
+    """
+
+    __slots__ = ("state", "data", "oob")
+
+    def __init__(self, pages_per_block: int):
+        self.state = bytearray(pages_per_block)
+        self.data: list[Optional[bytes]] = []
+        self.oob: list[Optional[tuple[int, int]]] = []
+
+    def store(self, page: int, data: bytes,
+              oob: Optional[tuple[int, int]]) -> None:
+        """Keep a page's payload and metadata (the state is the caller's)."""
+        gap = page + 1 - len(self.data)
+        if gap > 0:
+            self.data.extend([None] * gap)
+            self.oob.extend([None] * gap)
+        self.data[page] = data
+        self.oob[page] = oob
+
+
 class NandArray:
     """A flash array storing real page bytes under NAND rules."""
 
     def __init__(self, geometry: NandGeometry):
         self.geometry = geometry
-        self._data: dict[int, bytes] = {}
-        self._state: dict[int, PageState] = {}
-        # Out-of-band metadata per programmed page: the owning LPN and a
-        # monotonic write sequence — what real firmware stashes in the spare
-        # area so the mapping survives power loss.
-        self._oob: dict[int, tuple[int, int]] = {}
+        self._pages_per_block = geometry.pages_per_block
+        #: Flat block id -> record of every block that is not fully erased.
+        #: The FTL's write core and collector compute block ids themselves
+        #: and work on records directly; all else uses the checked methods.
+        self.blocks: dict[int, BlockRecord] = {}
         self.reads = 0
         self.programs = 0
         self.erases = 0
@@ -47,20 +80,32 @@ class NandArray:
         #: Optional :class:`repro.faults.FaultPlan` (wired by the device).
         self.faults = None
 
+    def open_block(self, flat: int) -> BlockRecord:
+        """The record of block ``flat``, created if the block is erased."""
+        record = self.blocks.get(flat)
+        if record is None:
+            record = self.blocks[flat] = BlockRecord(self._pages_per_block)
+        return record
+
     def state(self, ppn: int) -> PageState:
         """Current state of a page (pages start erased)."""
         self._check_ppn(ppn)
-        return self._state.get(ppn, PageState.ERASED)
+        flat, page = divmod(ppn, self._pages_per_block)
+        record = self.blocks.get(flat)
+        if record is None:
+            return PageState.ERASED
+        return _STATES[record.state[page]]
 
     def read(self, ppn: int) -> bytes:
         """Read a programmed page's bytes."""
-        # Fast path: a PROGRAMMED state entry implies the PPN is valid
-        # (only program() creates one), so the range check can wait for
-        # the error path.
-        if self._state.get(ppn) is PageState.PROGRAMMED:
+        pages_per_block = self._pages_per_block
+        record = self.blocks.get(ppn // pages_per_block)
+        page = ppn % pages_per_block
+        # A record implies the block id is in range (only a program creates
+        # one), so the range check can wait for the error path.
+        if record is not None and record.state[page] == PROGRAMMED:
             self.reads += 1
-            return self._data[ppn]
-        self._check_ppn(ppn)
+            return record.data[page]
         raise FlashError(f"read of {self.state(ppn).value} page {ppn}")
 
     def program(self, ppn: int, data: bytes,
@@ -78,45 +123,57 @@ class NandArray:
             raise FlashError(
                 f"program of {len(data)} bytes; page is "
                 f"{self.geometry.page_nbytes}")
-        if self.state(ppn) is not PageState.ERASED:
+        flat, page = divmod(ppn, self._pages_per_block)
+        record = self.open_block(flat)
+        if record.state[page] != ERASED:
             raise FlashError(
                 f"program of {self.state(ppn).value} page {ppn} "
                 "(erase-before-program violated)")
         if check_fault(self.faults, SITE_NAND_PROGRAM, ppn=ppn) is not None:
-            self._state[ppn] = PageState.INVALID
+            record.state[page] = INVALID
             self.program_failures += 1
             raise ProgramFailError(f"program failure at page {ppn}")
-        self._data[ppn] = bytes(data)
-        self._state[ppn] = PageState.PROGRAMMED
-        if oob is not None:
-            self._oob[ppn] = oob
+        record.store(page, bytes(data), oob)
+        record.state[page] = PROGRAMMED
         self.programs += 1
 
     def oob(self, ppn: int) -> Optional[tuple[int, int]]:
         """The (LPN, sequence) metadata programmed alongside a page."""
         self._check_ppn(ppn)
-        return self._oob.get(ppn)
+        flat, page = divmod(ppn, self._pages_per_block)
+        record = self.blocks.get(flat)
+        if record is None or page >= len(record.oob):
+            return None
+        return record.oob[page]
 
     def programmed_ppns(self) -> list[int]:
         """Every page currently holding live data, in PPN order."""
-        return sorted(ppn for ppn, state in self._state.items()
-                      if state is PageState.PROGRAMMED)
+        pages_per_block = self._pages_per_block
+        return [flat * pages_per_block + page
+                for flat in sorted(self.blocks)
+                for page, code in enumerate(self.blocks[flat].state)
+                if code == PROGRAMMED]
 
     def invalidate(self, ppn: int) -> None:
         """Mark a programmed page's data as superseded (FTL bookkeeping)."""
-        self._check_ppn(ppn)
         if self.state(ppn) is not PageState.PROGRAMMED:
             raise FlashError(f"invalidate of {self.state(ppn).value} page {ppn}")
-        self._state[ppn] = PageState.INVALID
+        flat, page = divmod(ppn, self._pages_per_block)
+        self.blocks[flat].state[page] = INVALID
+
+    def corrupt_page(self, ppn: int, data: bytes) -> None:
+        """Test hook: swap a programmed page's stored bytes under the ECC,
+        leaving its state and out-of-band metadata alone."""
+        flat, page = divmod(ppn, self._pages_per_block)
+        record = self.blocks.get(flat)
+        if record is None or record.state[page] != PROGRAMMED:
+            raise FlashError(f"corrupt of {self.state(ppn).value} page {ppn}")
+        record.data[page] = bytes(data)
 
     def erase_block(self, channel: int, chip: int, block: int) -> None:
         """Erase a whole block, releasing all its pages."""
-        geometry = self.geometry
-        first = geometry.ppn(channel, chip, block, 0)
-        for ppn in range(first, first + geometry.pages_per_block):
-            self._state.pop(ppn, None)
-            self._data.pop(ppn, None)
-            self._oob.pop(ppn, None)
+        first = self.geometry.ppn(channel, chip, block, 0)
+        self.blocks.pop(first // self._pages_per_block, None)
         self.erases += 1
 
     def block_page_states(self, channel: int, chip: int,
@@ -124,7 +181,7 @@ class NandArray:
         """States of every page in a block, in page order."""
         first = self.geometry.ppn(channel, chip, block, 0)
         return [self.state(ppn)
-                for ppn in range(first, first + self.geometry.pages_per_block)]
+                for ppn in range(first, first + self._pages_per_block)]
 
     def _check_ppn(self, ppn: int) -> None:
         if not 0 <= ppn < self.geometry.total_pages:

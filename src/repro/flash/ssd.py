@@ -14,6 +14,7 @@ contrast:
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Generator, Sequence
 
@@ -104,6 +105,7 @@ class Ssd:
         # (see repro.storage.stats). Device scan programs consult these to
         # skip non-qualifying NAND page reads.
         self._extent_stats: dict[int, "object"] = {}
+        self._extent_starts: list[int] = []   # the same keys, sorted
         if getattr(sim, "faults", None) is not None:
             self.install_fault_plan(sim.faults)
 
@@ -188,7 +190,7 @@ class Ssd:
         buffer pool). Returns the extent's first LPN.
         """
         first = self.allocate_extent(len(pages))
-        self.ftl.write_bulk(first, list(pages))
+        self.ftl.write_bulk(first, pages)
         return first
 
     def register_extent_stats(self, first_lpn: int, stats) -> None:
@@ -201,6 +203,8 @@ class Ssd:
         """
         if stats.page_count < 1:
             raise DeviceError("extent stats must cover at least one page")
+        if first_lpn not in self._extent_stats:
+            insort(self._extent_starts, first_lpn)
         self._extent_stats[first_lpn] = stats
 
     def extent_stats(self, first_lpn: int):
@@ -232,12 +236,15 @@ class Ssd:
         yield from self.controller.write_lpns(lpns, pages)
         # Keep firmware page statistics current: recompute the entry for
         # every rewritten page (untimed maintenance, like the FTL map).
-        if self._extent_stats:
+        starts = self._extent_starts
+        if starts:
             for lpn, page in zip(lpns, pages):
-                for first, stats in self._extent_stats.items():
-                    if first <= lpn < first + stats.page_count:
+                owner = bisect_right(starts, lpn) - 1
+                if owner >= 0:
+                    first = starts[owner]
+                    stats = self._extent_stats[first]
+                    if lpn < first + stats.page_count:
                         stats.refresh(lpn - first, page)
-                        break
 
     def transfer_to_host(self, nbytes: int) -> Generator[Event, None, None]:
         """Move result bytes (not pages) to the host — the GET reply path."""

@@ -108,9 +108,9 @@ def test_greedy_heap_matches_linear_scan(operations):
         candidates = []
         for block in sorted(die.sealed):
             key = (die.channel, die.chip, block)
-            if key in ftl._gc_victims:
+            if ftl.is_collecting(*key):
                 continue
-            valid = ftl._valid_count.get(key, 0)
+            valid = ftl.valid_pages(*key)
             if valid >= pages_per_block:
                 continue
             candidates.append((valid, block))

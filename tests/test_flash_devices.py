@@ -106,6 +106,53 @@ class TestSsd:
         assert sim.now > 0
         assert ssd.read_page_direct(first) == pages[0]
 
+    def test_host_write_refreshes_only_the_owning_extent(self):
+        class RecordingStats:
+            def __init__(self, page_count):
+                self.page_count = page_count
+                self.refreshed = []
+
+            def refresh(self, index, page):
+                self.refreshed.append((index, page))
+
+        sim = Simulator()
+        ssd = small_ssd(sim)
+        pages = blank_pages(6)
+        firsts = [ssd.load_extent(pages) for _ in range(4)]
+        # Registered out of LPN order; the third extent carries no stats.
+        stats = {first: RecordingStats(len(pages))
+                 for first in (firsts[1], firsts[3], firsts[0])}
+        for first, entry in stats.items():
+            ssd.register_extent_stats(first, entry)
+        fresh = blank_pages(8)[6:]
+        run_process(sim, ssd.host_write(
+            [firsts[1] + 2, firsts[2] + 1], fresh))
+        assert stats[firsts[1]].refreshed == [(2, fresh[0])]
+        assert stats[firsts[0]].refreshed == []
+        assert stats[firsts[3]].refreshed == []
+        # Re-registering an extent replaces its entry without a second key.
+        replacement = RecordingStats(len(pages))
+        ssd.register_extent_stats(firsts[1], replacement)
+        run_process(sim, ssd.host_write([firsts[1]], fresh[:1]))
+        assert replacement.refreshed == [(0, fresh[0])]
+        assert stats[firsts[1]].refreshed == [(2, fresh[0])]
+
+    def test_bookkeeping_memory_follows_blocks_opened_not_geometry(self):
+        import tracemalloc
+
+        payload = bytes(PAGE_SIZE)   # one shared object: payloads cost nothing
+        tracemalloc.start()
+        try:
+            before, __ = tracemalloc.get_traced_memory()
+            ssd = Ssd(Simulator(), SsdSpec(verify_ecc=False))
+            ssd.load_extent([payload] * 1000)
+            after, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ssd.spec.geometry.total_pages == 2_097_152
+        # A dense per-page array at this geometry is 2-26 MB.
+        assert after - before < 1_000_000
+
     def test_ecc_detects_injected_corruption(self):
         sim = Simulator()
         spec = SsdSpec(geometry=NandGeometry(channels=2, chips_per_channel=1,
@@ -120,9 +167,9 @@ class TestSsd:
         page = encode_page(Layout.NSM, schema, rows)
         first = ssd.load_extent([page])
         ppn = ssd.ftl.lookup(first)
-        corrupted = bytearray(ssd.nand._data[ppn])
+        corrupted = bytearray(ssd.nand.read(ppn))
         corrupted[2000] ^= 0x1
-        ssd.nand._data[ppn] = bytes(corrupted)
+        ssd.nand.corrupt_page(ppn, bytes(corrupted))
 
         proc = sim.process(ssd.internal_read([first]))
         with pytest.raises(StorageError, match="CRC"):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, FlashError
+from repro.faults import SITE_NAND_PROGRAM, FaultPlan
 from repro.flash import NandArray, NandGeometry, PageMappedFtl
+from repro.flash.ftl import PROGRAM_RETRY_LIMIT
 from repro.storage.page import PAGE_SIZE
 
 
@@ -126,3 +128,52 @@ class TestGarbageCollection:
         assert ftl.stats.host_writes == 60
         assert nand.programs == ftl.stats.host_writes + ftl.stats.gc_relocations
         assert nand.erases == ftl.stats.erases
+
+
+class TestWriteCoreChecks:
+    """The checks `_program_on_die` took over from `NandArray.program`."""
+
+    def faulty(self, **rule):
+        ftl, nand, __ = make_ftl()
+        plan = FaultPlan(seed=1)
+        plan.add(SITE_NAND_PROGRAM, **rule)
+        nand.faults = plan
+        return ftl, nand
+
+    def test_retry_limit_gives_up_after_eight_failed_slots(self):
+        ftl, nand = self.faulty()          # every program fails
+        with pytest.raises(DeviceError, match="consecutive page programs"):
+            ftl.write(0, page_of(1))
+        assert nand.program_failures == PROGRAM_RETRY_LIMIT
+        assert ftl.stats.program_retries == PROGRAM_RETRY_LIMIT
+        assert nand.programs == 0 and not ftl.is_mapped(0)
+
+    def test_last_retry_can_still_succeed(self):
+        ftl, nand = self.faulty(limit=PROGRAM_RETRY_LIMIT - 1)
+        ftl.write(0, page_of(1))
+        assert ftl.read(0) == page_of(1)
+        assert ftl.stats.program_retries == PROGRAM_RETRY_LIMIT - 1
+        # The burned slots stay INVALID until their block is erased.
+        assert sum(die.invalid_pages for die in ftl._dies) == (
+            PROGRAM_RETRY_LIMIT - 1)
+
+    def test_wrong_page_length_rejected_on_both_doors(self):
+        ftl, __, __ = make_ftl()
+        with pytest.raises(FlashError, match="page is"):
+            ftl.write(0, b"short")
+        with pytest.raises(FlashError, match="page is"):
+            ftl.write_bulk(1, [page_of(1), b"short"])
+        assert ftl.read(1) == page_of(1)   # pages before the bad one landed
+
+    def test_bulk_door_matches_per_page_door(self):
+        bulk, bulk_nand, geometry = make_ftl()
+        single, single_nand, __ = make_ftl()
+        pages = [page_of(tag) for tag in range(10)]
+        bulk.write_bulk(3, pages)
+        for offset, data in enumerate(pages):
+            single.write(3 + offset, data)
+        assert bulk._map == single._map
+        assert ([bulk_nand.oob(ppn) for ppn in range(geometry.total_pages)]
+                == [single_nand.oob(ppn)
+                    for ppn in range(geometry.total_pages)])
+        assert bulk.stats == single.stats

@@ -132,6 +132,34 @@ class TestNandArray:
         assert states[0] is PageState.PROGRAMMED
         assert all(s is PageState.ERASED for s in states[1:])
 
+    def test_out_of_order_programs_within_a_block(self, geometry):
+        nand = NandArray(geometry)
+        first = geometry.ppn(1, 0, 2, 0)
+        nand.program(first + 5, self.page(5), oob=(50, 1))
+        nand.program(first + 2, self.page(2), oob=(20, 2))
+        assert nand.read(first + 5) == self.page(5)
+        assert nand.read(first + 2) == self.page(2)
+        assert nand.oob(first + 5) == (50, 1)
+        assert nand.oob(first + 3) is None
+        assert nand.oob(first + 7) is None
+        assert nand.programmed_ppns() == [first + 2, first + 5]
+        nand.invalidate(first + 2)
+        assert nand.oob(first + 2) == (20, 2)   # kept until the erase
+        nand.erase_block(1, 0, 2)
+        assert nand.oob(first + 5) is None
+        assert nand.programmed_ppns() == []
+
+    def test_corrupt_page_swaps_bytes_only(self, geometry):
+        nand = NandArray(geometry)
+        nand.program(9, self.page(), oob=(4, 1))
+        nand.corrupt_page(9, self.page(0x00))
+        assert nand.read(9) == self.page(0x00)
+        assert nand.state(9) is PageState.PROGRAMMED
+        assert nand.oob(9) == (4, 1)
+        assert nand.programs == 1
+        with pytest.raises(FlashError, match="erased"):
+            nand.corrupt_page(10, self.page())
+
     def test_out_of_range_ppn_rejected(self, geometry):
         nand = NandArray(geometry)
         with pytest.raises(FlashError):
