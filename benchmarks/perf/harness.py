@@ -86,15 +86,15 @@ def bench_decode():
     """Full-page and projected-column decode (pages/second).
 
     The projected path decodes I/O-unit batches (32 pages per
-    :func:`repro.storage.decode_unit_columns` call) — the decode the
-    batch-at-a-time engine actually performs; per-page projected decode is
-    kept alongside for the speedup denominator.
+    :meth:`repro.storage.UnitColumns.decode` call) — the decode the
+    kernel actually performs; per-page projected decode is kept alongside
+    for the speedup denominator.
     """
     from repro.storage import (
         Layout,
+        UnitColumns,
         decode_columns,
         decode_page,
-        decode_unit_columns,
         encode_pages,
     )
     from repro.workloads import generate_lineitem, lineitem_schema
@@ -112,7 +112,7 @@ def bench_decode():
 
     def projected():
         for batch in units:
-            decode_unit_columns(schema, batch, names)
+            UnitColumns(schema, batch).decode(names)
 
     def projected_per_page():
         for page in pages:
@@ -127,13 +127,10 @@ def bench_decode():
 
 
 def bench_kernel():
-    """Filter kernel throughput over encoded pages (pages/second).
-
-    Page-at-a-time and unit-batch kernels over the same pages, so the
-    batch execution win is visible as a ratio in one report.
-    """
+    """Filter kernel throughput over encoded pages in 32-page units
+    (pages/second)."""
     from repro.engine.expressions import Col, Compare, Const
-    from repro.engine.kernels import BatchKernel, PageKernel
+    from repro.engine.kernels import BatchKernel
     from repro.engine.plans import Query
     from repro.model.counters import WorkCounters
     from repro.storage import Layout, encode_pages
@@ -149,18 +146,12 @@ def bench_kernel():
                   select=(("l_extendedprice", Col("l_extendedprice")),),
                   name="perf-filter")
 
-    def run():
-        kernel = PageKernel(query, schema, Layout.PAX)
-        for page in pages:
-            kernel.process_page(page)
-
     def run_batch():
         kernel = BatchKernel(query, schema, Layout.PAX)
         for batch in units:
             kernel.process_unit(batch, counters=WorkCounters())
 
     return {
-        "kernel_filter_pages_per_s": len(pages) / _best_of(run),
         "kernel_filter_batch_pages_per_s": len(pages) / _best_of(run_batch),
     }
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.engine.kernels import estimated_hash_table_nbytes
 from repro.engine.plans import Query
 from repro.flash.hdd import Hdd, HddSpec
 from repro.flash.ssd import Ssd, SsdSpec
@@ -59,7 +60,6 @@ def _hash_table_nbytes_at_target(db: Database, query: Query,
                                  factor: float) -> int:
     if query.join is None:
         return 0
-    from repro.smart.programs.base import estimated_hash_table_nbytes
     build = db.catalog.table(query.join.build_table)
     return int(estimated_hash_table_nbytes(build.heap, query) * factor)
 

@@ -2,7 +2,7 @@
 
 The paper's key move is running *the same database operator code* in two
 places: on the host CPUs and inside the Smart SSD. This package holds that
-shared code — expression trees, per-page kernels (filter / probe /
+shared code — expression trees, the unit kernel (filter / probe /
 aggregate), hash tables, and the query description — so
 :mod:`repro.host.executor` and :mod:`repro.smart.programs` execute
 identically and differ only in where pages flow and which CPU is charged.
@@ -28,8 +28,6 @@ from repro.engine.expressions import (
 from repro.engine.kernels import (
     AggState,
     HashTable,
-    PageKernel,
-    PagePartial,
     build_hash_table,
 )
 from repro.engine.plans import AggSpec, JoinSpec, Placement, Query
@@ -53,8 +51,6 @@ __all__ = [
     "LikePrefix",
     "Mul",
     "Or",
-    "PageKernel",
-    "PagePartial",
     "Placement",
     "Query",
     "Sub",

@@ -1,25 +1,23 @@
-"""Execution kernels shared by host and device placement.
+"""The execution kernel shared by host and device placement.
 
-Two granularities over the same query semantics:
+:class:`BatchKernel` is the one kernel: an I/O unit (up to 32 pages) per
+invocation. Columns decode across the whole unit in one NumPy pass per
+column (:class:`repro.storage.UnitColumns`), the predicate evaluates over
+the unit's concatenated predicate columns *first*, and the remaining
+projection/probe/aggregate columns are decoded only for pages with at
+least one surviving row (late materialization).
 
-* :class:`PageKernel` — the original page-at-a-time kernel: decode the
-  needed columns of one page, apply the predicate, optionally probe the
-  join hash table, then project rows or fold aggregates.
-  :meth:`PageKernel.process_page` remains as the compatibility shim the
-  pruning/top-N paths and the differential tests exercise.
-* :class:`BatchKernel` — the hot path: one I/O unit (up to 32 pages) per
-  invocation. Columns decode across the whole unit in one NumPy pass per
-  column (:class:`repro.storage.UnitColumns`), the predicate evaluates over
-  the unit's concatenated predicate columns *first*, and the remaining
-  projection/probe/aggregate columns are decoded only for pages with at
-  least one surviving row (late materialization). Counters, virtual time,
-  and results are bit-identical to driving :class:`PageKernel` page by
-  page — aggregation partials are still folded per page segment in page
-  order, so even float accumulation order matches.
+The semantics are page-at-a-time all the same: DISTINCT and top-N truncate
+per page, aggregates fold per page segment in page order (so even float
+accumulation order is fixed), and every counter is the per-page sum — how a
+scan is cut into units never shows. An expression that is not
+:func:`batch_exact` would charge differently over concatenated pages, so
+the kernel runs such a unit as a sequence of one-page units; a clamp that
+binds per page cannot bind differently inside a unit that *is* one page.
 
-Both count every priced operation; the caller (host executor or Smart SSD
-program) charges the counters to the right CPU and moves the right bytes
-over the right links.
+The kernel counts every priced operation; the caller (host executor or
+Smart SSD program) charges the counters to the right CPU and moves the
+right bytes over the right links.
 """
 
 from __future__ import annotations
@@ -44,14 +42,23 @@ from repro.engine.expressions import (
 )
 from repro.engine.plans import AggSpec, JoinSpec, Query
 from repro.model.counters import WorkCounters
-from repro.storage.layout import Layout, decode_columns, touched_bytes
-from repro.storage.page import PageHeader
+from repro.storage.heapfile import HeapFile
+from repro.storage.layout import Layout, touched_bytes
 from repro.storage.schema import Schema
 from repro.storage.unitdecode import UnitColumns
 
 #: Estimated per-entry bookkeeping bytes of a hash table (bucket pointers,
 #: entry headers) — used for memory grants and cache-residency decisions.
 HASH_ENTRY_OVERHEAD = 24
+
+
+def estimated_hash_table_nbytes(build_heap: HeapFile, query: Query) -> int:
+    """Upper-bound resident size of the build table's hash table."""
+    spec = query.join
+    per_row = build_heap.schema.column(spec.build_key).nbytes
+    per_row += sum(build_heap.schema.column(n).nbytes for n in spec.payload)
+    per_row += HASH_ENTRY_OVERHEAD
+    return build_heap.tuple_count * per_row
 
 
 def batch_exact(expr: Optional[Expr]) -> bool:
@@ -64,8 +71,8 @@ def batch_exact(expr: Optional[Expr]) -> bool:
     Evaluated at an already-reduced active (the right side of an ``And``,
     a ``CASE`` branch) the clamp can bind differently per page than over
     the concatenated unit, so a combinator in such a position makes
-    unit-wide charging inexact — the batch kernel then falls back to its
-    per-page path to preserve bit-identical counters.
+    unit-wide charging inexact — the kernel then runs the unit one page at
+    a time to preserve bit-identical counters.
 
     ``and_all``'s left-nested conjunction chains, and every expression the
     committed workloads use, are batch-exact.
@@ -172,12 +179,14 @@ class BuildCollector:
         Decodes the whole batch in one pass per column; with a build
         predicate, only its columns decode eagerly and the key/payload
         columns late-materialize for pages with at least one kept row.
-        Counters and the assembled table are identical to per-page decode.
+        Counters and the assembled table are those of one-page batches,
+        which is how a build predicate that is not :func:`batch_exact` runs.
         """
         if not pages:
             return 0
-        if not self._batch_exact:
-            return self._consume_pages(pages, counters, layout)
+        if not self._batch_exact and len(pages) > 1:
+            return sum(self.consume([page], counters, layout)
+                       for page in pages)
         unit = UnitColumns(self.schema, pages)
         n = unit.total_rows
         counters.pages_parsed += unit.page_count
@@ -209,33 +218,6 @@ class BuildCollector:
         self._key_chunks.append(gathered[self.spec.build_key])
         for name in self.spec.payload:
             self._payload_chunks[name].append(gathered[name])
-        return touched
-
-    def _consume_pages(self, pages: Sequence[bytes], counters: WorkCounters,
-                       layout: Layout) -> int:
-        """Page-at-a-time path (build predicates batch evaluation cannot
-        charge exactly — see :func:`batch_exact`)."""
-        touched = 0
-        for page in pages:
-            header = PageHeader.decode(page)
-            n = header.tuple_count
-            counters.pages_parsed += 1
-            if layout is Layout.NSM:
-                counters.nsm_tuples_parsed += n
-            touched += touched_bytes(layout, self.schema, self.needed, n)
-            columns = decode_columns(self.schema, page, self.needed)
-            ctx = EvalContext(columns, n, counters, layout)
-            if self.spec.build_predicate is not None:
-                mask = self.spec.build_predicate.evaluate(ctx, n)
-                keep = np.nonzero(mask)[0]
-            else:
-                keep = np.arange(n)
-            # Key + payload extraction for every inserted row.
-            ctx.charge_extract(len(keep) * len(self.needed))
-            counters.hash_builds += len(keep)
-            self._key_chunks.append(columns[self.spec.build_key][keep])
-            for name in self.spec.payload:
-                self._payload_chunks[name].append(columns[name][keep])
         return touched
 
     def finish(self) -> HashTable:
@@ -275,7 +257,7 @@ def distinct_indexes(columns: dict[str, np.ndarray],
                      names: Sequence[str]) -> np.ndarray:
     """Indexes of the first occurrence of each distinct row, in row order.
 
-    Shared by the page kernels (page-local dedupe), the merge step, and
+    Shared by the kernel (page-local dedupe), the merge step, and
     the reference executor, so DISTINCT results are identical everywhere.
     """
     n = len(next(iter(columns.values()))) if columns else 0
@@ -415,202 +397,6 @@ def _merge_scalar(kind: str, a: Any, b: Any) -> Any:
     return max(a, b)
 
 
-@dataclass
-class PagePartial:
-    """Output of one page's worth of kernel work."""
-
-    row_count: int
-    columns: Optional[dict[str, np.ndarray]] = None  # select queries
-    agg: Optional[AggState] = None                   # aggregate queries
-    counters: WorkCounters = field(default_factory=WorkCounters)
-    touched_nbytes: int = 0  # page bytes the CPU actually read
-
-
-class PageKernel:
-    """Compiled per-page execution for one :class:`Query`."""
-
-    def __init__(self, query: Query, schema: Schema, layout: Layout,
-                 hash_table: Optional[HashTable] = None,
-                 ctx_factory: type[EvalContext] = EvalContext):
-        if query.join is not None and hash_table is None:
-            raise PlanError("join query needs a built hash table")
-        self.query = query
-        self.schema = schema
-        self.layout = layout
-        self.hash_table = hash_table
-        self.ctx_factory = ctx_factory
-        self.needed_columns = query.probe_side_columns()
-        for name in self.needed_columns:
-            schema.column_index(name)  # validate early
-
-    def process_page(self, page: bytes) -> PagePartial:
-        """Run the kernel over one page of real bytes."""
-        counters = WorkCounters()
-        header = PageHeader.decode(page)
-        n = header.tuple_count
-        counters.pages_parsed += 1
-        if self.layout is Layout.NSM:
-            counters.nsm_tuples_parsed += n
-        columns = decode_columns(self.schema, page, self.needed_columns,
-                                 header=header)
-        touched = touched_bytes(self.layout, self.schema,
-                                self.needed_columns, n)
-        return self._evaluate(columns, n, counters, touched)
-
-    def process_decoded(self, columns: dict[str, np.ndarray],
-                        n: int) -> PagePartial:
-        """Run the kernel over columns another scan already decoded.
-
-        The page-setup and decode work happened elsewhere (and was charged
-        there); only this query's marginal work — predicates, probes,
-        aggregates, outputs — lands in the returned partial's counters.
-        """
-        counters = WorkCounters()
-        return self._evaluate(columns, n, counters, touched=0)
-
-    def _evaluate(self, columns: dict[str, np.ndarray], n: int,
-                  counters: WorkCounters, touched: int) -> PagePartial:
-        ctx = self.ctx_factory(columns, n, counters, self.layout)
-
-        # 1. Selection.
-        if self.query.predicate is not None:
-            mask = self.query.predicate.evaluate(ctx, n)
-            survivors = np.nonzero(mask)[0]
-        else:
-            survivors = np.arange(n)
-
-        filtered = {name: values[survivors]
-                    for name, values in columns.items()}
-        k = len(survivors)
-
-        # 2. Hash-join probe.
-        if self.query.join is not None:
-            probe_keys = filtered[self.query.join.probe_key]
-            ctx.charge_extract(k)
-            counters.hash_probes += k
-            match, positions = self.hash_table.probe(probe_keys)
-            matched = np.nonzero(match)[0]
-            filtered = {name: values[matched]
-                        for name, values in filtered.items()}
-            build_rows = positions[matched]
-            for name in self.query.join.payload:
-                filtered[name] = self.hash_table.payload[name][build_rows]
-            k = len(matched)
-
-        # 2b. Post-join predicate (spans probe columns + build payload).
-        if self.query.post_predicate is not None:
-            post_ctx = self.ctx_factory(filtered, k, counters, self.layout)
-            post_mask = self.query.post_predicate.evaluate(post_ctx, k)
-            keep = np.nonzero(post_mask)[0]
-            filtered = {name: values[keep]
-                        for name, values in filtered.items()}
-            k = len(keep)
-
-        out_ctx = self.ctx_factory(filtered, k, counters, self.layout)
-
-        # 3a. Projection (with optional page-local top-N truncation).
-        if self.query.select:
-            out_columns = {}
-            for name, expr in self.query.select:
-                values = np.asarray(expr.evaluate(out_ctx, k))
-                if values.ndim == 0:
-                    values = np.full(k, values)
-                out_columns[name] = values
-            if self.query.distinct and k > 0:
-                counters.distinct_candidates += k
-                keep = distinct_indexes(out_columns,
-                                        self.query.output_names())
-                out_columns = {name: values[keep]
-                               for name, values in out_columns.items()}
-                k = len(keep)
-            if self.query.limit is not None and k > 0:
-                counters.topn_candidates += k
-                keep = top_n_indexes(out_columns[self.query.order_by],
-                                     self.query.limit,
-                                     self.query.descending)
-                out_columns = {name: values[keep]
-                               for name, values in out_columns.items()}
-                k = len(keep)
-            counters.output_values += k * len(self.query.select)
-            return PagePartial(row_count=k, columns=out_columns,
-                               counters=counters, touched_nbytes=touched)
-
-        # 3b. Aggregation.
-        state = AggState()
-        if self.query.group_by is None:
-            for agg in self.query.aggregates:
-                state.values[agg.name] = self._scalar_partial(
-                    agg, out_ctx, k, counters)
-        else:
-            self._grouped_partials(state, out_ctx, k, counters)
-        return PagePartial(row_count=k, agg=state, counters=counters,
-                           touched_nbytes=touched)
-
-    # -- aggregation helpers ---------------------------------------------------
-
-    def _scalar_partial(self, agg: AggSpec, ctx: EvalContext, k: int,
-                        counters: WorkCounters) -> Any:
-        counters.aggregate_updates += k
-        if agg.kind == "count":
-            return k
-        values = np.asarray(agg.expr.evaluate(ctx, k))
-        if values.ndim == 0:
-            values = np.full(k, values)
-        if k == 0:
-            return 0 if agg.kind == "sum" else None
-        if agg.kind == "sum":
-            acc = values.astype(np.float64) if values.dtype.kind == "f" \
-                else values.astype(np.int64)
-            return acc.sum().item()
-        if agg.kind == "min":
-            return values.min().item()
-        return values.max().item()
-
-    def _grouped_partials(self, state: AggState, ctx: EvalContext, k: int,
-                          counters: WorkCounters) -> None:
-        if k == 0:
-            return
-        names = self.query.group_by_columns
-        ctx.charge_extract(k * len(names))
-        if len(names) == 1:
-            groups, inverse = np.unique(ctx.columns[names[0]],
-                                        return_inverse=True)
-            group_list = groups.tolist()
-        else:
-            key_dtype = np.dtype([(name, ctx.columns[name].dtype)
-                                  for name in names])
-            keys = np.empty(k, dtype=key_dtype)
-            for name in names:
-                keys[name] = ctx.columns[name]
-            groups, inverse = np.unique(keys, return_inverse=True)
-            group_list = [tuple(g) for g in groups.tolist()]
-        for agg in self.query.aggregates:
-            counters.aggregate_updates += k
-            if agg.kind == "count":
-                partials = np.bincount(inverse, minlength=len(groups))
-            elif agg.kind == "sum":
-                values = np.asarray(agg.expr.evaluate(ctx, k))
-                weights = values.astype(np.float64)
-                partials = np.bincount(inverse, weights=weights,
-                                       minlength=len(groups))
-                if values.dtype.kind in "iu":
-                    partials = partials.astype(np.int64)
-            else:
-                values = np.asarray(agg.expr.evaluate(ctx, k))
-                reducer = np.minimum if agg.kind == "min" else np.maximum
-                fill = values.max() if agg.kind == "min" else values.min()
-                partials = np.full(len(groups), fill, dtype=values.dtype)
-                reducer.at(partials, inverse, values)
-            for group, partial in zip(group_list, partials.tolist()):
-                state.groups.setdefault(group, {})[agg.name] = _merge_scalar(
-                    agg.kind, state.groups.get(group, {}).get(agg.name),
-                    partial)
-
-
-# --------------------------------------------------------------------------
-# Batch (I/O-unit-at-a-time) execution
-# --------------------------------------------------------------------------
-
 def _late_materialize(unit: UnitColumns, survivors: np.ndarray,
                       names: Sequence[str],
                       page_of: Optional[np.ndarray] = None,
@@ -648,36 +434,46 @@ class UnitPartial:
         default_factory=list)
     touched_nbytes: int = 0  # page bytes the CPU actually read
 
+    @classmethod
+    def concat(cls, partials: Iterable["UnitPartial"]) -> "UnitPartial":
+        """One partial for a unit that ran as a sequence of sub-units."""
+        total = cls(row_count=0)
+        for partial in partials:
+            total.row_count += partial.row_count
+            total.chunks.extend(partial.chunks)
+            total.touched_nbytes += partial.touched_nbytes
+        return total
+
 
 class BatchKernel:
     """I/O-unit-at-a-time execution for one :class:`Query`.
 
-    Drop-in replacement for driving :class:`PageKernel` over each page of a
-    unit: identical results, counters, and touched bytes, with the decode
-    and expression work batched across the unit's concatenated rows. The
-    predicate evaluates first over just its own columns; every other column
-    is then decoded only for pages with surviving rows (late
-    materialization). Aggregates fold into the caller's running
-    :class:`AggState` per page segment in page order, so floating-point
-    accumulation order is preserved bit for bit.
+    Results, counters, and touched bytes are those of running each page of
+    the unit as its own unit, with the decode and expression work batched
+    across the unit's concatenated rows. The predicate evaluates first over
+    just its own columns; every other column is then decoded only for pages
+    with surviving rows (late materialization). Aggregates fold into the
+    caller's running :class:`AggState` per page segment in page order, so
+    floating-point accumulation order is preserved bit for bit.
 
     Queries whose expressions are not :func:`batch_exact` (clamping
-    combinators in reduced-active positions) transparently run the
-    page-at-a-time path via :attr:`page_kernel`.
+    combinators in reduced-active positions) run each unit as one-page
+    units, where unit-wide charging is trivially the per-page charge.
     """
 
     def __init__(self, query: Query, schema: Schema, layout: Layout,
                  hash_table: Optional[HashTable] = None,
                  ctx_factory: type[EvalContext] = EvalContext):
-        self.page_kernel = PageKernel(query, schema, layout,
-                                      hash_table=hash_table,
-                                      ctx_factory=ctx_factory)
+        if query.join is not None and hash_table is None:
+            raise PlanError("join query needs a built hash table")
         self.query = query
         self.schema = schema
         self.layout = layout
         self.hash_table = hash_table
         self.ctx_factory = ctx_factory
-        self.needed_columns = self.page_kernel.needed_columns
+        self.needed_columns = query.probe_side_columns()
+        for name in self.needed_columns:
+            schema.column_index(name)  # validate early
         pred_names = (set(query.predicate.columns())
                       if query.predicate is not None else None)
         #: Columns the predicate needs (everything, without a predicate).
@@ -687,8 +483,8 @@ class BatchKernel:
         #: Columns whose decode waits for the predicate's survivors.
         self.late_columns = [name for name in self.needed_columns
                              if name not in self.predicate_columns]
-        #: DISTINCT dedupe and top-N truncation are page-local in the
-        #: per-page kernel; emit per-page chunks to preserve that.
+        #: DISTINCT dedupe and top-N truncation are page-local; emit
+        #: per-page chunks to preserve that.
         self.per_page_output = bool(query.distinct
                                     or query.limit is not None)
         exprs = [query.predicate, query.post_predicate,
@@ -710,8 +506,11 @@ class BatchKernel:
         its original position within the unit (after any pruning).
         """
         offsets = list(range(len(pages))) if offsets is None else list(offsets)
-        if not self.is_batch_exact:
-            return self._unit_via_pages(pages, counters, agg_into, offsets)
+        if not self.is_batch_exact and len(pages) > 1:
+            return UnitPartial.concat(
+                self.process_unit([page], counters=counters,
+                                  agg_into=agg_into, offsets=[offset])
+                for page, offset in zip(pages, offsets))
         unit = UnitColumns(self.schema, pages)
         n = unit.total_rows
         counters.pages_parsed += unit.page_count
@@ -761,9 +560,14 @@ class BatchKernel:
         starts = np.zeros(page_count + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
         n = int(starts[-1])
-        if not self.is_batch_exact:
-            return self._decoded_via_pages(columns, starts, counts,
-                                           counters, agg_into, offsets)
+        if not self.is_batch_exact and page_count > 1:
+            return UnitPartial.concat(
+                self.process_decoded_unit(
+                    {name: values[starts[p]:starts[p + 1]]
+                     for name, values in columns.items()},
+                    counts[p:p + 1], counters=counters, agg_into=agg_into,
+                    offsets=[offsets[p]])
+                for p in range(page_count))
         ctx = self.ctx_factory(columns, n, counters, self.layout)
         if self.query.predicate is not None:
             mask = self.query.predicate.evaluate(ctx, n)
@@ -775,48 +579,6 @@ class BatchKernel:
                     for name in self.needed_columns}
         return self._finish(filtered, page_of, len(survivors), page_count,
                             offsets, counters, agg_into, touched=0)
-
-    # -- per-page fallbacks (non-batch-exact expressions) --------------------
-
-    def _unit_via_pages(self, pages: Sequence[bytes],
-                        counters: WorkCounters,
-                        agg_into: Optional[AggState],
-                        offsets: Sequence[int]) -> UnitPartial:
-        chunks = []
-        touched = 0
-        rows = 0
-        for offset, page in zip(offsets, pages):
-            partial = self.page_kernel.process_page(page)
-            counters.add(partial.counters)
-            touched += partial.touched_nbytes
-            rows += partial.row_count
-            if partial.columns is not None:
-                chunks.append((offset, partial.columns))
-            else:
-                agg_into.merge(partial.agg, self.query.aggregates)
-        return UnitPartial(row_count=rows, chunks=chunks,
-                           touched_nbytes=touched)
-
-    def _decoded_via_pages(self, columns: dict[str, np.ndarray],
-                           starts: np.ndarray, counts: np.ndarray,
-                           counters: WorkCounters,
-                           agg_into: Optional[AggState],
-                           offsets: Sequence[int]) -> UnitPartial:
-        chunks = []
-        rows = 0
-        for position, offset in enumerate(offsets):
-            lo, hi = int(starts[position]), int(starts[position + 1])
-            page_columns = {name: values[lo:hi]
-                            for name, values in columns.items()}
-            partial = self.page_kernel.process_decoded(
-                page_columns, int(counts[position]))
-            counters.add(partial.counters)
-            rows += partial.row_count
-            if partial.columns is not None:
-                chunks.append((offset, partial.columns))
-            else:
-                agg_into.merge(partial.agg, self.query.aggregates)
-        return UnitPartial(row_count=rows, chunks=chunks, touched_nbytes=0)
 
     # -- shared tail: probe, post-predicate, project / aggregate -------------
 
@@ -919,8 +681,8 @@ class BatchKernel:
         aggs = self.query.aggregates
         evaluated: dict[str, np.ndarray] = {}
         for agg in aggs:
-            # Per page the kernel charges its segment's row count
-            # (including empty segments, which charge 0) — the sum is k.
+            # Each page charges its segment's row count (empty segments
+            # charge 0) — the sum is k.
             counters.aggregate_updates += k
             if agg.kind == "count":
                 continue
@@ -958,17 +720,17 @@ class BatchKernel:
         names = self.query.group_by_columns
         evaluated: dict[str, np.ndarray] = {}
         if k:
-            # Empty segments early-return in the per-page kernel, so only
-            # the k surviving rows are ever charged.
+            # A page with no surviving row charges nothing, so only the k
+            # surviving rows are ever charged.
             out_ctx.charge_extract(k * len(names))
             for agg in aggs:
                 counters.aggregate_updates += k
                 if agg.kind != "count":
                     evaluated[agg.name] = np.asarray(
                         agg.expr.evaluate(out_ctx, k))
-        # Merging a page partial always (re)writes the scalar slots, even
-        # for grouped queries where they stay None; mirror that so merged
-        # states compare equal.
+        # Folding always (re)writes the scalar slots, even for grouped
+        # queries where they stay None, so states compare equal however
+        # many units fed them.
         for agg in aggs:
             agg_into.values[agg.name] = agg_into.values.get(agg.name)
         for position in range(page_count):

@@ -22,7 +22,12 @@ from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 import numpy as np
 
 from repro.engine.expressions import EvalContext
-from repro.engine.kernels import AggState, BatchKernel, BuildCollector
+from repro.engine.kernels import (
+    AggState,
+    BatchKernel,
+    BuildCollector,
+    estimated_hash_table_nbytes,
+)
 from repro.engine.plans import Query
 from repro.errors import (
     DeviceTimeoutError,
@@ -35,12 +40,9 @@ from repro.host.catalog import Table
 from repro.model.counters import WorkCounters
 from repro.obs import NULL_SPAN
 from repro.sim import Event, Resource
+from repro.storage.heapfile import unit_lpn_runs
 from repro.smart.device import SmartSsd
 from repro.smart.programs import IO_UNIT_PAGES, PIPELINE_WINDOW
-from repro.smart.programs.base import (
-    estimated_hash_table_nbytes,
-    unit_lpn_runs,
-)
 from repro.smart.protocol import OpenParams, SessionStatus
 
 if TYPE_CHECKING:

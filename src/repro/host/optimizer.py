@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.engine.expressions import EvalContext
+from repro.engine.kernels import estimated_hash_table_nbytes
 from repro.engine.plans import Query
 from repro.engine.pruning import build_pruner
 from repro.model.analytic import (
@@ -38,7 +39,6 @@ from repro.flash.hdd import Hdd
 from repro.host.catalog import Table
 from repro.model.costs import DEVICE_CPU
 from repro.smart.device import SmartSsd
-from repro.smart.programs.base import estimated_hash_table_nbytes
 from repro.storage.layout import Layout, decode_columns, touched_bytes
 from repro.storage.page import PAGE_SIZE, PageHeader
 

@@ -30,7 +30,13 @@ from repro.faults import DEFAULT_RETRY_POLICY, RetryPolicy, is_transient_error
 from repro.model.counters import WorkCounters
 from repro.sim import Simulator
 from repro.smart.device import SmartSsd, SmartSsdSpec
-from repro.storage import HeapFile, Layout, Schema, build_heap_pages
+from repro.storage import (
+    HeapFile,
+    Layout,
+    Schema,
+    build_heap_pages,
+    unit_lpn_runs,
+)
 
 
 @dataclass(frozen=True)
@@ -348,15 +354,15 @@ class SmartSsdArray:
                              build_heap: Optional[HeapFile]):
         """Degraded path: the coordinator scans one partition itself.
 
-        Pages cross the host interface via timed block reads and the page
-        kernels run on the coordinator (untimed here — the array models no
+        Pages cross the host interface via timed block reads and the
+        kernel runs on the coordinator (untimed here — the array models no
         host CPU; the interface crossing is the dominant, and modeled,
         cost). The payload shape matches what the worker session would have
         produced, so the merge step cannot tell the difference.
         """
-        from repro.engine.kernels import (AggState, BuildCollector,
-                                          PageKernel)
-        from repro.smart.programs.base import IO_UNIT_PAGES, unit_lpn_runs
+        from repro.engine.kernels import (AggState, BatchKernel,
+                                          BuildCollector)
+        from repro.smart.programs.base import IO_UNIT_PAGES
 
         hash_table = None
         if query.join is not None:
@@ -365,22 +371,19 @@ class SmartSsdArray:
                 pages = yield from device.host_read(lpns)
                 collector.consume(pages, WorkCounters(), build_heap.layout)
             hash_table = collector.finish()
-        kernel = PageKernel(query, heap.schema, heap.layout,
-                            hash_table=hash_table)
+        kernel = BatchKernel(query, heap.schema, heap.layout,
+                             hash_table=hash_table)
         select_mode = bool(query.select)
         agg = AggState()
         payload = []
         for index, lpns in enumerate(unit_lpn_runs(heap, IO_UNIT_PAGES)):
             pages = yield from device.host_read(lpns)
-            chunks = []
-            for page in pages:
-                partial = kernel.process_page(page)
-                if select_mode:
-                    chunks.append(partial.columns)
-                else:
-                    agg.merge(partial.agg, query.aggregates)
+            partial = kernel.process_unit(
+                pages, counters=WorkCounters(),
+                agg_into=None if select_mode else agg)
             if select_mode:
-                payload.append((index, chunks))
+                payload.append((index,
+                                [chunk for __, chunk in partial.chunks]))
         if not select_mode:
             payload.append(("agg", agg))
         return payload

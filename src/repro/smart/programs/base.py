@@ -5,7 +5,7 @@ device as a windowed pipeline over 32-page I/O units:
 
 1. the flash controller streams a unit into device DRAM (channels in
    parallel, DMA serialized on the shared DRAM bus);
-2. the device CPU runs the page kernels — the *same* kernels the host
+2. the device CPU runs the kernel — the *same* kernel the host
    executor uses — re-crossing the DRAM bus for the page bytes it actually
    touches (whole records under NSM, only the referenced minipages under
    PAX);
@@ -25,12 +25,12 @@ from typing import TYPE_CHECKING, Generator, Optional
 import numpy as np
 
 from repro.engine.kernels import (
-    HASH_ENTRY_OVERHEAD,
     AggState,
     BatchKernel,
     BuildCollector,
-    PageKernel,
     TopNState,
+    UnitPartial,
+    estimated_hash_table_nbytes,
 )
 from repro.engine.plans import Query
 from repro.engine.pruning import PagePruner, build_pruner
@@ -38,7 +38,7 @@ from repro.errors import ProgramCrashError, ProtocolError
 from repro.faults import SITE_SESSION_CRASH, check_fault
 from repro.model.counters import WorkCounters
 from repro.sim import Event, Resource
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, unit_lpn_runs
 
 from repro.smart.protocol import SessionStatus
 
@@ -120,21 +120,6 @@ class DeviceProgram:
         yield from execute_query(device, session, args)
 
 
-def unit_lpn_runs(heap: HeapFile, unit_pages: int) -> list[list[int]]:
-    """Split a heap extent into I/O-unit LPN runs, in scan order."""
-    lpns = list(heap.lpns())
-    return [lpns[i:i + unit_pages] for i in range(0, len(lpns), unit_pages)]
-
-
-def estimated_hash_table_nbytes(build_heap: HeapFile, query: Query) -> int:
-    """Upper-bound resident size of the build table's hash table."""
-    spec = query.join
-    per_row = build_heap.schema.column(spec.build_key).nbytes
-    per_row += sum(build_heap.schema.column(n).nbytes for n in spec.payload)
-    per_row += HASH_ENTRY_OVERHEAD
-    return build_heap.tuple_count * per_row
-
-
 def extent_pruner(device: "SmartSsd", heap: HeapFile,
                   query: Query) -> tuple[Optional[PagePruner], Optional[object]]:
     """(pruner, extent stats) for a scan, or (None, None) when the device
@@ -156,23 +141,20 @@ def extent_pruner(device: "SmartSsd", heap: HeapFile,
     return pruner, stats
 
 
-def _empty_partial(kernel: PageKernel):
-    """Run the kernel over a zero-row input.
+def _zero_row_unit(kernel: BatchKernel,
+                   agg_into: Optional[AggState] = None) -> UnitPartial:
+    """Run the kernel over a unit of one zero-row page.
 
-    Data skipping can leave a scan with no processed pages at all; folding
-    this partial in reproduces exactly what an unpruned scan of zero
-    qualifying rows would have produced (typed empty chunks for selects,
-    count=0 / sum=0 identities for aggregates).
+    Data skipping can leave a scan with no processed pages at all; this
+    unit reproduces exactly what an unpruned scan of zero qualifying rows
+    would have produced (one typed empty chunk for selects, count=0 / sum=0
+    identities folded into ``agg_into`` for aggregates).
     """
     columns = {
         name: np.empty(0, dtype=kernel.schema.column(name).ctype.numpy_dtype)
         for name in kernel.needed_columns}
-    return kernel.process_decoded(columns, 0)
-
-
-def _empty_select_chunk(kernel: PageKernel) -> dict:
-    """A zero-row chunk with the exact output dtypes the kernel produces."""
-    return _empty_partial(kernel).columns
+    return kernel.process_decoded_unit(columns, [0], counters=WorkCounters(),
+                                       agg_into=agg_into)
 
 
 def execute_query(device: "SmartSsd", session: "Session",
@@ -374,7 +356,7 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         if device_topn:
             final = topn.finish()
             if final is None:
-                final = _empty_select_chunk(kernel.page_kernel)
+                __, final = _zero_row_unit(kernel).chunks[0]
             nbytes = RESULT_FRAME_NBYTES + sum(
                 array.nbytes for array in final.values())
             yield from device.controller.dram_bus.transfer(
@@ -386,7 +368,7 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         elif select_mode and not chunks_pushed[0]:
             # Every page was pruned: ship one typed empty chunk so the
             # host merge keeps the query's output dtypes.
-            proto = _empty_select_chunk(kernel.page_kernel)
+            __, proto = _zero_row_unit(kernel).chunks[0]
             yield from device.controller.dram_bus.transfer(
                 RESULT_FRAME_NBYTES,
                 None if obs is None else obs.span(
@@ -396,9 +378,8 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
         elif not select_mode:
             # Zero-row identity: if skipping pruned every page, this gives
             # the same count=0 / sum=0 result an unpruned scan of zero
-            # qualifying rows yields; otherwise it merges as a no-op.
-            agg_total.merge(_empty_partial(kernel.page_kernel).agg,
-                            query.aggregates)
+            # qualifying rows yields; otherwise it folds as a no-op.
+            _zero_row_unit(kernel, agg_total)
             nbytes = RESULT_FRAME_NBYTES + AGG_VALUE_NBYTES * (
                 len(query.aggregates) * max(1, len(agg_total.groups) or 1))
             yield from device.controller.dram_bus.transfer(

@@ -38,7 +38,7 @@ from repro.engine.pruning import PagePruner
 from repro.errors import ProtocolError
 from repro.model.counters import WorkCounters
 from repro.sim import Event, Resource
-from repro.storage.heapfile import HeapFile
+from repro.storage.heapfile import HeapFile, unit_lpn_runs
 from repro.storage.layout import Layout, touched_bytes
 from repro.storage.unitdecode import UnitColumns
 
@@ -48,10 +48,9 @@ from repro.smart.programs.base import (
     PIPELINE_WINDOW,
     RESULT_FRAME_NBYTES,
     DeviceProgram,
-    _empty_select_chunk,
     _maybe_crash,
+    _zero_row_unit,
     extent_pruner,
-    unit_lpn_runs,
 )
 from repro.smart.protocol import SessionStatus
 
@@ -233,7 +232,7 @@ def _shared_scan_body(device: "SmartSsd", session: "Session",
         if member.select and not member.chunks_pushed:
             # Every page was pruned for this rider: ship one typed empty
             # chunk so the host merge keeps the query's output dtypes.
-            proto = _empty_select_chunk(member.kernel_cold.page_kernel)
+            __, proto = _zero_row_unit(member.kernel_cold).chunks[0]
             yield from device.controller.dram_bus.transfer(
                 RESULT_FRAME_NBYTES,
                 None if obs is None else obs.span(

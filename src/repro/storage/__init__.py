@@ -15,7 +15,7 @@ since an epoch), which lets both codecs round-trip via NumPy structured
 arrays with zero copies on decode.
 """
 
-from repro.storage.heapfile import HeapFile, build_heap_pages
+from repro.storage.heapfile import HeapFile, build_heap_pages, unit_lpn_runs
 from repro.storage.layout import (
     Layout,
     decode_columns,
@@ -41,7 +41,7 @@ from repro.storage.types import (
     Int32Type,
     Int64Type,
 )
-from repro.storage.unitdecode import UnitColumns, decode_unit_columns
+from repro.storage.unitdecode import UnitColumns
 
 __all__ = [
     "BloomFilter",
@@ -66,7 +66,7 @@ __all__ = [
     "build_heap_pages",
     "decode_columns",
     "decode_page",
-    "decode_unit_columns",
     "encode_page",
     "encode_pages",
+    "unit_lpn_runs",
 ]

@@ -67,3 +67,9 @@ class HeapFile:
     def lpns(self) -> Iterator[int]:
         """Logical page numbers of the extent, in scan order."""
         return iter(range(self.first_lpn, self.first_lpn + self.page_count))
+
+
+def unit_lpn_runs(heap: HeapFile, unit_pages: int) -> list[list[int]]:
+    """Split a heap extent into I/O-unit LPN runs, in scan order."""
+    lpns = list(heap.lpns())
+    return [lpns[i:i + unit_pages] for i in range(0, len(lpns), unit_pages)]

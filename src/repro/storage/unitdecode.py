@@ -171,14 +171,3 @@ class UnitColumns:
             out[name] = select(self._nsm_records[name])
             self.decoded_nbytes += rows * self.schema.column(name).nbytes
         return out
-
-
-def decode_unit_columns(schema: Schema, pages: Sequence[bytes],
-                        names: Sequence[str]) -> dict[str, np.ndarray]:
-    """Decode the named columns across a whole I/O unit in batched passes.
-
-    Returns one concatenated array per column, covering every live row of
-    every page in order — value-identical to decoding each page with
-    :func:`repro.storage.layout.decode_columns` and concatenating.
-    """
-    return UnitColumns(schema, pages).decode(tuple(names))

@@ -1,13 +1,14 @@
-"""Property test: the batch kernel is a bit-identical page-kernel replay.
+"""Property test: how a page list is cut into units never shows.
 
-:class:`~repro.engine.kernels.BatchKernel` processes a whole I/O unit at
-once — batched decode, unit-wide predicate, late materialization — but it
-must be indistinguishable from driving :class:`PageKernel` page by page:
-same output rows, same work counters (the inputs to virtual time), same
-touched bytes. This suite drives both over the same random pages and
-compares everything, including the non-batch-exact predicate shapes that
-force the batch kernel onto its per-page fallback, and the NSM layout
-where decode degrades to whole-record parsing.
+:class:`~repro.engine.kernels.BatchKernel` runs a whole I/O unit at once,
+yet page-at-a-time semantics are the contract: DISTINCT and top-N truncate
+per page, aggregates fold per page in page order, every counter (the input
+to virtual time) is the per-page sum. "Per page" *means* one-page units, so
+for any query and any cut of a page list into units, the counters, touched
+bytes, output rows and dtypes and :class:`AggState` equal those of the
+all-one-page cut through both entry points, and the merged result equals
+``run_reference``. Drawn predicates include shapes that are not batch-exact
+(those units run page by page), under both layouts.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.engine import (
     Mul,
     Or,
     Query,
+    run_reference,
 )
 from repro.engine.kernels import (
     AggState,
@@ -32,7 +34,8 @@ from repro.engine.kernels import (
     HashTable,
     batch_exact,
 )
-from repro.model.counters import WorkCounters, counter_field_names
+from repro.host.executor import _merge_select_chunks
+from repro.model.counters import WorkCounters
 from repro.storage import (
     Column,
     Int32Type,
@@ -41,6 +44,7 @@ from repro.storage import (
     Schema,
     build_heap_pages,
 )
+from repro.storage.unitdecode import UnitColumns
 
 SCHEMA = Schema([
     Column("a", Int32Type()),
@@ -53,12 +57,6 @@ DIM_SCHEMA = Schema([
     Column("payload", Int32Type()),
 ])
 
-#: Counters the page kernel maintains; the two new decode counters are
-#: batch-only (the per-page path never sets them) and asserted separately.
-_LEGACY_COUNTERS = tuple(name for name in counter_field_names()
-                         if name not in ("decoded_bytes",
-                                         "decode_bytes_elided"))
-
 _OPS = st.sampled_from(["<", "<=", ">", ">=", "==", "!="])
 _COLUMNS = st.sampled_from(["a", "b"])
 
@@ -66,7 +64,7 @@ _COLUMNS = st.sampled_from(["a", "b"])
 @st.composite
 def predicates(draw, depth=2):
     """Random predicates, including nested combinator shapes that are not
-    batch-exact (so the per-page fallback is exercised too)."""
+    batch-exact (those units run as one-page units)."""
     if depth == 0 or draw(st.booleans()):
         return Compare(Col(draw(_COLUMNS)), draw(_OPS),
                        Const(draw(st.integers(-5, 25))))
@@ -135,7 +133,7 @@ def queries(draw):
 @st.composite
 def datasets(draw):
     seed = draw(st.integers(0, 2**31))
-    n = draw(st.integers(1, 1200))
+    n = draw(st.integers(1, 3200))  # up to eight pages
     rng = np.random.default_rng(seed)
     rows = np.empty(n, dtype=SCHEMA.numpy_dtype())
     rows["a"] = rng.integers(-10, 30, n)
@@ -148,83 +146,84 @@ def datasets(draw):
     return rows, dim
 
 
-def _hash_table(query, dim):
-    if query.join is None:
-        return None
-    return HashTable(dim["pk"],
-                     {"payload": np.ascontiguousarray(dim["payload"])})
-
-
-def _page_reference(kernel, pages, query):
-    """Drive the per-page kernel and collect its totals."""
-    counters = WorkCounters()
-    touched = 0
-    agg = AggState()
-    chunks = []
-    for page in pages:
-        partial = kernel.process_page(page)
-        counters.add(partial.counters)
-        touched += partial.touched_nbytes
-        if query.select:
-            chunks.append(partial.columns)
+def _drive(kernel, query, pages, sizes, decoded):
+    """Run ``pages`` through ``kernel`` cut into units of the cycled
+    ``sizes``; returns (counters, touched bytes, chunks, agg state)."""
+    counters, touched, chunks, agg = WorkCounters(), 0, [], AggState()
+    bounds = np.minimum(np.cumsum([0] + sizes * len(pages)), len(pages))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            break
+        kwargs = dict(counters=counters, offsets=range(lo, hi),
+                      agg_into=None if query.select else agg)
+        if decoded:
+            unit = UnitColumns(SCHEMA, pages[lo:hi])
+            partial = kernel.process_decoded_unit(
+                unit.decode(kernel.needed_columns), unit.counts, **kwargs)
         else:
-            agg.merge(partial.agg, query.aggregates)
+            partial = kernel.process_unit(pages[lo:hi], **kwargs)
+        touched += partial.touched_nbytes
+        chunks.extend(partial.chunks)
     return counters, touched, chunks, agg
 
 
 def _concat(chunks, names):
-    return {name: np.concatenate([c[name] for c in chunks])
-            if chunks else np.empty(0) for name in names}
+    return {name: np.concatenate([c[name] for __, c in chunks])
+            for name in names}
 
 
-@given(queries(), datasets(), st.sampled_from([Layout.NSM, Layout.PAX]))
+@given(queries(), datasets(), st.sampled_from([Layout.NSM, Layout.PAX]),
+       st.lists(st.integers(1, 8), min_size=1, max_size=4), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_batch_kernel_matches_page_kernel(query, data, layout):
+def test_unit_split_is_unobservable(query, data, layout, sizes, decoded):
     rows, dim = data
     pages = build_heap_pages(SCHEMA, rows, layout)
-    table = _hash_table(query, dim)
-    batch = BatchKernel(query, SCHEMA, layout, hash_table=table)
-
-    ref_counters, ref_touched, ref_chunks, ref_agg = _page_reference(
-        batch.page_kernel, pages, query)
-
-    counters = WorkCounters()
-    agg = AggState()
-    partial = batch.process_unit(
-        pages, counters=counters,
-        agg_into=None if query.select else agg)
-
+    table = HashTable(dim["pk"], {"payload": np.ascontiguousarray(
+        dim["payload"])}) if query.join else None
+    kernel = BatchKernel(query, SCHEMA, layout, hash_table=table)
+    ref_counters, ref_touched, ref_chunks, ref_agg = _drive(
+        kernel, query, pages, [1], decoded)
+    counters, touched, chunks, agg = _drive(
+        kernel, query, pages, sizes, decoded)
     # Work counters — the inputs to virtual time — must match exactly.
-    for name in _LEGACY_COUNTERS:
-        assert getattr(counters, name) == getattr(ref_counters, name), name
-    assert partial.touched_nbytes == ref_touched
+    assert (counters, touched) == (ref_counters, ref_touched)
 
+    expected = run_reference(query, {"fact": SCHEMA, "dim": DIM_SCHEMA},
+                             {"fact": rows, "dim": dim})
     if query.select:
         names = query.output_names()
-        got = _concat([chunk for __, chunk in partial.chunks], names)
+        got = _concat(chunks, names)
         want = _concat(ref_chunks, names)
         for name in names:
             assert np.array_equal(got[name], want[name])
-            if len(want[name]):
-                assert got[name].dtype == want[name].dtype
+            assert got[name].dtype == want[name].dtype
+        if kernel.per_page_output:  # page-local chunks keep their labels
+            assert ([offset for offset, __ in chunks]
+                    == [offset for offset, __ in ref_chunks])
+        merged = _merge_select_chunks(query, [c for __, c in chunks])
+        for name in names:
+            assert np.array_equal(merged[name], expected[name])
     else:
-        # Scalar slots must match bit for bit (same float fold order) and
-        # grouped partials must agree per group per aggregate.
-        assert agg.values == ref_agg.values
-        assert agg.groups == ref_agg.groups
+        # Scalar slots and per-group partials, bit for bit (same fold order).
+        assert agg == ref_agg
+        assert (agg.groups if query.group_by else agg.values) == expected
 
 
-@given(datasets(), st.sampled_from([Layout.NSM, Layout.PAX]))
+_DEAD = Compare(Col("a"), "<", Const(0))
+
+
+@given(datasets(), st.sampled_from([Layout.NSM, Layout.PAX]),
+       st.sampled_from([_DEAD, And(_DEAD, And(_DEAD, _DEAD))]))
 @settings(max_examples=20, deadline=None)
-def test_late_materialization_elides_dead_pages(data, layout):
+def test_late_materialization_elides_dead_pages(data, layout, predicate):
     """A page whose rows all fail the filter never decodes its
-    non-predicate columns (modulo NSM's unavoidable record parse)."""
+    non-predicate columns (modulo NSM's unavoidable record parse) — also
+    when a right-nested predicate makes the unit run page by page."""
     rows, __ = data
     rows = rows.copy()
     rows["a"] = 10**6  # no row ever passes
     pages = build_heap_pages(SCHEMA, rows, layout)
-    query = Query(table="fact",
-                  predicate=Compare(Col("a"), "<", Const(0)),
+    query = Query(table="fact", predicate=predicate,
                   select=(("b", Col("b")), ("c", Col("c"))))
     batch = BatchKernel(query, SCHEMA, layout)
     counters = WorkCounters()

@@ -1,4 +1,6 @@
-"""Unit tests for page kernels, hash tables, and the reference executor."""
+"""Unit tests for the kernel, hash tables, and the reference executor."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,25 +8,29 @@ import pytest
 from repro.engine import (
     AggSpec,
     AggState,
+    And,
     Col,
     Compare,
     Const,
     HashTable,
     JoinSpec,
     Mul,
-    PageKernel,
     Query,
     and_all,
     build_hash_table,
     run_reference,
 )
+from repro.engine.kernels import BatchKernel, BuildCollector
 from repro.errors import PlanError
+from repro.host.db import Database
+from repro.model import WorkCounters
 from repro.storage import (
     Column,
     Int32Type,
     Int64Type,
     Layout,
     Schema,
+    UnitColumns,
     build_heap_pages,
 )
 
@@ -63,9 +69,16 @@ def pages_of(schema, rows, layout):
 
 
 def run_kernel(query, schema, rows, layout, hash_table=None):
-    kernel = PageKernel(query, schema, layout, hash_table=hash_table)
-    partials = [kernel.process_page(p)
-                for p in pages_of(schema, rows, layout)]
+    """Drive the kernel page by page (one-page units); one record per page."""
+    kernel = BatchKernel(query, schema, layout, hash_table=hash_table)
+    partials = []
+    for page in pages_of(schema, rows, layout):
+        counters, agg = WorkCounters(), AggState()
+        unit = kernel.process_unit([page], counters=counters,
+                                   agg_into=None if query.select else agg)
+        partials.append(SimpleNamespace(
+            columns=unit.chunks[0][1] if query.select else None, agg=agg,
+            counters=counters, touched_nbytes=unit.touched_nbytes))
     return kernel, partials
 
 
@@ -220,7 +233,6 @@ class TestHashJoin:
     def test_join_matches_reference(self, fact_schema, fact_rows, dim_schema,
                                     dim_rows, layout):
         query = self.make_query()
-        from repro.model import WorkCounters
         counters = WorkCounters()
         table = build_hash_table(
             dim_schema, pages_of(dim_schema, dim_rows, layout), query.join,
@@ -238,7 +250,6 @@ class TestHashJoin:
     def test_probe_counts_only_filter_survivors(self, fact_schema, fact_rows,
                                                 dim_schema, dim_rows, layout):
         query = self.make_query()
-        from repro.model import WorkCounters
         table = build_hash_table(
             dim_schema, pages_of(dim_schema, dim_rows, layout), query.join,
             WorkCounters(), layout)
@@ -258,7 +269,6 @@ class TestHashJoin:
                           probe_key="fk", payload=("label",)),
             select=(("id", Col("id")),),
         )
-        from repro.model import WorkCounters
         table = build_hash_table(
             dim_schema, pages_of(dim_schema, dim_rows, layout), query.join,
             WorkCounters(), layout)
@@ -270,7 +280,28 @@ class TestHashJoin:
     def test_join_without_table_rejected(self, fact_schema, layout):
         query = self.make_query()
         with pytest.raises(PlanError):
-            PageKernel(query, fact_schema, layout, hash_table=None)
+            BatchKernel(query, fact_schema, layout, hash_table=None)
+
+    @pytest.mark.parametrize("predicate", [
+        Compare(Col("val"), "<", Const(30)),
+        And(Compare(Col("val"), "<", Const(30)),
+            And(Compare(Col("fk"), "<", Const(9)),
+                Compare(Col("id"), "<", Const(400)))),
+    ], ids=["exact", "right-nested"])
+    def test_aggregate_without_state_rejected(self, fact_schema, fact_rows,
+                                              layout, predicate):
+        query = Query(table="fact", predicate=predicate,
+                      aggregates=(AggSpec("sum", Col("val"), "s"),))
+        kernel = BatchKernel(query, fact_schema, layout)
+        pages = pages_of(fact_schema, fact_rows, layout)
+        with pytest.raises(PlanError):
+            kernel.process_unit(pages, counters=WorkCounters(),
+                                agg_into=None)
+        unit = UnitColumns(fact_schema, pages)
+        with pytest.raises(PlanError):
+            kernel.process_decoded_unit(
+                unit.decode(kernel.needed_columns), unit.counts,
+                counters=WorkCounters(), agg_into=None)
 
 
 class TestHashTable:
@@ -304,13 +335,60 @@ class TestHashTable:
         spec = JoinSpec(build_table="dim", build_key="pk", probe_key="fk",
                         payload=("label",),
                         build_predicate=Compare(Col("pk"), "<", Const(10)))
-        from repro.model import WorkCounters
         counters = WorkCounters()
         table = build_hash_table(
             dim_schema, pages_of(dim_schema, rows, Layout.PAX), spec,
             counters, Layout.PAX)
         assert len(table) == 10
         assert counters.hash_builds == 10
+
+    @pytest.mark.parametrize("layout", [Layout.NSM, Layout.PAX])
+    def test_right_nested_build_predicate(self, layout):
+        """A build predicate that is not batch-exact: a 32-page batch
+        charges what 32 one-page batches charge, and the join is right on
+        both placements."""
+        dim_schema = Schema([Column("pk", Int32Type()),
+                             Column("label", Int32Type())])
+        dim = np.empty(40_000, dtype=dim_schema.numpy_dtype())
+        dim["pk"] = np.arange(len(dim))
+        dim["label"] = dim["pk"] % 97
+        spec = JoinSpec(
+            build_table="dim", build_key="pk", probe_key="fk",
+            payload=("label",),
+            build_predicate=And(Compare(Col("label"), "<", Const(60)),
+                                And(Compare(Col("pk"), ">=", Const(700)),
+                                    Compare(Col("label"), "!=", Const(3)))))
+        pages = pages_of(dim_schema, dim, layout)[:32]
+        assert len(pages) == 32
+        whole, paged = BuildCollector(dim_schema, spec), BuildCollector(
+            dim_schema, spec)
+        unit_counters, page_counters = WorkCounters(), WorkCounters()
+        unit_touched = whole.consume(pages, unit_counters, layout)
+        page_touched = sum(paged.consume([page], page_counters, layout)
+                           for page in pages)
+        assert (unit_counters, unit_touched) == (page_counters, page_touched)
+        assert unit_counters.decoded_bytes > 0
+        assert np.array_equal(whole.finish().keys, paged.finish().keys)
+
+        fact_schema = Schema([Column("id", Int32Type()),
+                              Column("fk", Int32Type())])
+        fact = np.empty(3000, dtype=fact_schema.numpy_dtype())
+        fact["id"] = np.arange(len(fact))
+        fact["fk"] = (fact["id"] * 13) % 45_000  # some fks dangle
+        query = Query(table="fact", join=spec,
+                      select=(("id", Col("id")), ("label", Col("label"))))
+        db = Database()
+        db.create_smart_ssd()
+        db.create_table("fact", fact_schema, layout, fact, "smart-ssd")
+        db.create_table("dim", dim_schema, layout, dim, "smart-ssd")
+        expected = run_reference(
+            query, {"fact": fact_schema, "dim": dim_schema},
+            {"fact": fact, "dim": dim})
+        assert len(expected["id"])
+        for placement in ("host", "smart"):
+            rows = db.execute_placed(query, placement).rows
+            assert np.array_equal(rows["id"], expected["id"])
+            assert np.array_equal(rows["label"], expected["label"])
 
 
 class TestQueryValidation:

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine import AggSpec, Col, Compare, Const, Placement, Query
+from repro.engine import (
+    AggSpec,
+    And,
+    Col,
+    Compare,
+    Const,
+    Placement,
+    Query,
+    run_reference,
+)
 from repro.errors import PlanError
 from repro.host.db import Database
 from repro.sched import AdmissionPolicy, QueryScheduler, SchedulerConfig
@@ -23,16 +32,21 @@ def schema():
     return Schema([Column("k", Int32Type()), Column("v", Int32Type())])
 
 
+def table_rows(count, rng):
+    rows = np.empty(count, dtype=schema().numpy_dtype())
+    rows["k"] = np.arange(count)
+    rows["v"] = rng.integers(0, 100, count)
+    return rows
+
+
 def make_db(n=5000, extra_table_n=None):
     db = Database()
     db.create_smart_ssd()
     rng = np.random.default_rng(7)
 
     def load(name, count):
-        rows = np.empty(count, dtype=schema().numpy_dtype())
-        rows["k"] = np.arange(count)
-        rows["v"] = rng.integers(0, 100, count)
-        db.create_table(name, schema(), Layout.PAX, rows, "smart-ssd")
+        db.create_table(name, schema(), Layout.PAX, table_rows(count, rng),
+                        "smart-ssd")
 
     load("t", n)
     if extra_table_n is not None:
@@ -105,6 +119,36 @@ class TestSharedScans:
         assert agg_report.rows == solo_agg.rows
         assert np.array_equal(sel_report.rows, solo_sel.rows)
         assert sel_report.row_count == solo_sel.row_count
+
+    def test_right_nested_rider_shares_exactly(self):
+        """A rider whose predicate is not batch-exact runs its slices of
+        the shared unit page by page; nobody's answer or time moves."""
+        nested = Query(
+            name="nested", table="t",
+            predicate=And(Compare(Col("v"), "<", Const(50)),
+                          And(Compare(Col("k"), ">=", Const(100)),
+                              Compare(Col("k"), "<", Const(4000)))),
+            aggregates=(AggSpec("sum", Col("v"), "s"),
+                        AggSpec("count", None, "n")))
+        riders = [agg_query(), nested]
+        rows = table_rows(5000, np.random.default_rng(7))  # make_db's "t"
+
+        def window():
+            scheduler = QueryScheduler(make_db())
+            for query in riders:
+                scheduler.submit(query, "smart")
+            reports = scheduler.gather()
+            assert scheduler.stats["shared_groups"] == 1
+            return reports
+
+        first, second = window(), window()
+        for query, report in zip(riders, first):
+            assert report.rows == make_db().execute_placed(query,
+                                                           "smart").rows
+            assert report.rows == [run_reference(query, {"t": schema()},
+                                                 {"t": rows})]
+        assert ([r.to_json() for r in first]
+                == [r.to_json() for r in second])
 
     def test_sharing_disabled_still_correct(self):
         solo = make_db().execute_placed(agg_query(), "smart")
