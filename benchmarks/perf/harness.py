@@ -12,11 +12,11 @@ figures from the E6 traffic replay), the parallel fleet runtime's
 serial-vs-parallel wall-clock on the same replay (a top-level
 ``parallel`` block, CPU-count-conditional gate), the HTAP write path's
 GC-policy face-off and DML-vs-scan interference (virtual-time/seeded
-figures from the E7 experiment, floor- and ceiling-gated), and one more
-machine-independent metric: the total Python function-call count of a fixed
-workload, captured with cProfile. Wall-clock numbers are normalized by a
-CPU calibration loop so the regression gate (``check_regression.py``) is
-meaningful across machines of different speeds.
+figures from the E7 experiment, floor- and ceiling-gated), and two more
+machine-independent metrics: the total Python function-call counts of two
+fixed workloads (Fig. 3 Q6 and one Q1), captured with cProfile. Wall-clock
+numbers are normalized by a CPU calibration loop so the regression gate
+(``check_regression.py``) is meaningful across machines of different speeds.
 
 Usage::
 
@@ -410,19 +410,36 @@ def bench_parallel_serving(backend: str = "process") -> dict:
     }
 
 
-def count_calls():
-    """Total function calls of a fixed workload — machine-independent."""
-    from repro.bench.figures import fig3_q6
-    from repro.bench.runners import invalidate_workload_cache
-
-    invalidate_workload_cache()
+def _profiled_calls(fn) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
-    fig3_q6()
+    fn()
     profiler.disable()
     profiler.create_stats()
-    return {"fig3_q6_function_calls":
-            int(sum(stat[0] for stat in profiler.stats.values()))}
+    return int(sum(stat[0] for stat in profiler.stats.values()))
+
+
+def count_calls():
+    """Total function calls of two fixed workloads — machine-independent.
+
+    ``fig3_q6`` is the filter-and-scalar-fold path with cold caches; one
+    ``q1_query()`` on the built Smart SSD PAX world is the grouped fold.
+    """
+    from repro.bench.figures import fig3_q6
+    from repro.bench.runners import (
+        DeviceKind,
+        invalidate_workload_cache,
+        make_tpch_db,
+    )
+    from repro.storage import Layout
+    from repro.workloads import q1_query
+
+    invalidate_workload_cache()
+    counts = {"fig3_q6_function_calls": _profiled_calls(fig3_q6)}
+    db = make_tpch_db(DeviceKind.SMART, Layout.PAX)
+    counts["q1_function_calls"] = _profiled_calls(
+        lambda: db.execute_placed(q1_query(), "smart"))
+    return counts
 
 
 def main(argv=None) -> int:
@@ -452,8 +469,9 @@ def main(argv=None) -> int:
         metrics.update(section_metrics)
         for key, value in section_metrics.items():
             print(f"  {key}: {value:,.1f}")
-    metrics.update(count_calls())
-    print(f"  fig3_q6_function_calls: {metrics['fig3_q6_function_calls']:,}")
+    for key, value in count_calls().items():
+        metrics[key] = value
+        print(f"  {key}: {value:,}")
 
     # Top-level block, not a metric: wall-clock parallel speedup is gated
     # by check_regression.py conditionally on the CPU count, never by the

@@ -8,12 +8,16 @@ projection/probe/aggregate columns are decoded only for pages with at
 least one surviving row (late materialization).
 
 The semantics are page-at-a-time all the same: DISTINCT and top-N truncate
-per page, aggregates fold per page segment in page order (so even float
-accumulation order is fixed), and every counter is the per-page sum — how a
-scan is cut into units never shows. An expression that is not
-:func:`batch_exact` would charge differently over concatenated pages, so
-the kernel runs such a unit as a sequence of one-page units; a clamp that
-binds per page cannot bind differently inside a unit that *is* one page.
+per page, every counter is the per-page sum, and the aggregate state is the
+one a page-by-page fold would leave — how a scan is cut into units never
+shows. Aggregation itself runs once per unit: ``count``, ``min``, ``max``
+and integer ``sum`` (exact in ``int64``) do not depend on order and reduce
+over the whole unit; a float ``sum`` keeps one partial per page and folds
+them in page order, so its last bits are fixed too. An expression that is
+not :func:`batch_exact` would charge differently over concatenated pages,
+so the kernel runs such a unit as a sequence of one-page units; a clamp
+that binds per page cannot bind differently inside a unit that *is* one
+page.
 
 The kernel counts every priced operation; the caller (host executor or
 Smart SSD program) charges the counters to the right CPU and moves the
@@ -23,6 +27,7 @@ right bytes over the right links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -453,8 +458,9 @@ class BatchKernel:
     across the unit's concatenated rows. The predicate evaluates first over
     just its own columns; every other column is then decoded only for pages
     with surviving rows (late materialization). Aggregates fold into the
-    caller's running :class:`AggState` per page segment in page order, so
-    floating-point accumulation order is preserved bit for bit.
+    caller's running :class:`AggState` once per unit; only a float sum
+    still folds page by page, so its accumulation order is preserved bit
+    for bit.
 
     Queries whose expressions are not :func:`batch_exact` (clamping
     combinators in reduced-active positions) run each unit as one-page
@@ -501,9 +507,13 @@ class BatchKernel:
                      offsets: Optional[Sequence[int]] = None) -> UnitPartial:
         """Run the kernel over one I/O unit of real page bytes.
 
-        ``counters`` accumulates the unit's work in place; aggregate
-        queries fold into ``agg_into``. ``offsets`` labels each page with
-        its original position within the unit (after any pruning).
+        ``counters`` accumulates the unit's work in place. Aggregate
+        queries fold into ``agg_into``, which ends up bit-identical to
+        folding the pages one at a time: order-independent aggregates are
+        merged once for the unit, a float sum once per page in page order,
+        and new groups are added by first page, then key. ``offsets``
+        labels each page with its original position within the unit (after
+        any pruning).
         """
         offsets = list(range(len(pages))) if offsets is None else list(offsets)
         if not self.is_batch_exact and len(pages) > 1:
@@ -618,13 +628,13 @@ class BatchKernel:
                                  counters, touched)
         if agg_into is None:
             raise PlanError("aggregate unit needs a running AggState")
-        bounds = np.searchsorted(page_of, np.arange(page_count + 1))
         if self.query.group_by is None:
-            self._fold_scalar_segments(out_ctx, k, bounds, page_count,
-                                       counters, agg_into)
+            bounds = np.searchsorted(page_of, np.arange(page_count + 1))
+            self._fold_scalar_segments(out_ctx, k, bounds, counters,
+                                       agg_into)
         else:
-            self._fold_grouped_segments(out_ctx, k, bounds, page_count,
-                                        counters, agg_into)
+            self._fold_grouped_segments(out_ctx, k, page_of, counters,
+                                        agg_into)
         return UnitPartial(row_count=k, chunks=[], touched_nbytes=touched)
 
     def _project(self, out_ctx: EvalContext, page_of: np.ndarray, k: int,
@@ -672,17 +682,24 @@ class BatchKernel:
         return UnitPartial(row_count=total, chunks=chunks,
                            touched_nbytes=touched)
 
-    # -- aggregation: per-page-segment partials, folded in page order --------
+    # -- aggregation: one fold per unit, page-at-a-time results ---------------
+    #
+    # count, min, max and integer sum do not depend on the order they are
+    # taken in, so they reduce over the whole unit and merge into the running
+    # state once. A float sum does: its state is the left fold, in page
+    # order, of one partial per page (``segment.sum()`` for a scalar, a
+    # row-order ``bincount`` cell for a group), so those partials are kept
+    # and folded one by one. ``np.add.reduceat`` would give all of a unit's
+    # page partials in one call, but it adds in another order than
+    # ``segment.sum()`` and differs in the last bits.
 
-    def _fold_scalar_segments(self, out_ctx: EvalContext, k: int,
-                              bounds: np.ndarray, page_count: int,
-                              counters: WorkCounters,
-                              agg_into: AggState) -> None:
-        aggs = self.query.aggregates
+    def _aggregate_inputs(self, out_ctx: EvalContext, k: int,
+                          counters: WorkCounters) -> dict[str, np.ndarray]:
+        """Each non-count aggregate's input over the unit's ``k`` rows;
+        sums widen to ``float64`` or ``int64``, as the reference does."""
         evaluated: dict[str, np.ndarray] = {}
-        for agg in aggs:
-            # Each page charges its segment's row count (empty segments
-            # charge 0) — the sum is k.
+        for agg in self.query.aggregates:
+            # Each page charges its segment's row count — the sum is k.
             counters.aggregate_updates += k
             if agg.kind == "count":
                 continue
@@ -690,85 +707,92 @@ class BatchKernel:
             if values.ndim == 0:
                 values = np.full(k, values)
             if agg.kind == "sum":
-                values = values.astype(np.float64) \
-                    if values.dtype.kind == "f" else values.astype(np.int64)
+                values = values.astype(
+                    np.float64 if values.dtype.kind == "f" else np.int64)
             evaluated[agg.name] = values
-        for position in range(page_count):
-            lo, hi = int(bounds[position]), int(bounds[position + 1])
-            k_page = hi - lo
-            for agg in aggs:
-                if agg.kind == "count":
-                    partial: Any = k_page
-                elif k_page == 0:
-                    partial = 0 if agg.kind == "sum" else None
-                else:
-                    segment = evaluated[agg.name][lo:hi]
-                    if agg.kind == "sum":
-                        partial = segment.sum().item()
-                    elif agg.kind == "min":
-                        partial = segment.min().item()
-                    else:
-                        partial = segment.max().item()
+        return evaluated
+
+    def _fold_scalar_segments(self, out_ctx: EvalContext, k: int,
+                              bounds: np.ndarray, counters: WorkCounters,
+                              agg_into: AggState) -> None:
+        evaluated = self._aggregate_inputs(out_ctx, k, counters)
+        for agg in self.query.aggregates:
+            values = evaluated.get(agg.name)
+            if agg.kind == "count":
+                partials: list[Any] = [k]
+            elif agg.kind == "sum" and values.dtype.kind == "f":
+                # A page without survivors folds in the integer 0.
+                partials = [values[lo:hi].sum().item() if hi > lo else 0
+                            for lo, hi in pairwise(bounds.tolist())]
+            elif agg.kind == "sum":
+                partials = [values.sum().item()]
+            elif k == 0:
+                partials = [None]
+            else:
+                partials = [(values.min() if agg.kind == "min"
+                             else values.max()).item()]
+            for partial in partials:
                 agg_into.values[agg.name] = _merge_scalar(
                     agg.kind, agg_into.values.get(agg.name), partial)
 
     def _fold_grouped_segments(self, out_ctx: EvalContext, k: int,
-                               bounds: np.ndarray, page_count: int,
-                               counters: WorkCounters,
+                               page_of: np.ndarray, counters: WorkCounters,
                                agg_into: AggState) -> None:
         aggs = self.query.aggregates
-        names = self.query.group_by_columns
-        evaluated: dict[str, np.ndarray] = {}
-        if k:
-            # A page with no surviving row charges nothing, so only the k
-            # surviving rows are ever charged.
-            out_ctx.charge_extract(k * len(names))
-            for agg in aggs:
-                counters.aggregate_updates += k
-                if agg.kind != "count":
-                    evaluated[agg.name] = np.asarray(
-                        agg.expr.evaluate(out_ctx, k))
         # Folding always (re)writes the scalar slots, even for grouped
         # queries where they stay None, so states compare equal however
         # many units fed them.
         for agg in aggs:
             agg_into.values[agg.name] = agg_into.values.get(agg.name)
-        for position in range(page_count):
-            lo, hi = int(bounds[position]), int(bounds[position + 1])
-            k_page = hi - lo
-            if k_page == 0:
-                continue
-            segment = slice(lo, hi)
-            if len(names) == 1:
-                groups, inverse = np.unique(
-                    out_ctx.columns[names[0]][segment], return_inverse=True)
-                group_list = groups.tolist()
+        if k == 0:
+            return
+        keys = [out_ctx.columns[name] for name in self.query.group_by_columns]
+        # A page with no surviving row charges nothing, so only the k
+        # surviving rows are ever charged.
+        out_ctx.charge_extract(k * len(keys))
+        evaluated = self._aggregate_inputs(out_ctx, k, counters)
+        # One stable sort brings each group's rows together, still in row
+        # (hence page) order: a run of equal keys is a group and, within it,
+        # a run of equal pages is a (group, page) cell.
+        order = np.lexsort(keys[::-1])
+        new_group = np.zeros(k, dtype=bool)
+        new_group[0] = True
+        for key in keys:
+            ordered = key[order]
+            new_group[1:] |= ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new_group)
+        # Groups enter the state as page-at-a-time folding adds them: by
+        # the page they first appear on, then by key.
+        first_rows = order[starts]
+        appearance = np.argsort(page_of[first_rows], kind="stable")
+        key_lists = [key[first_rows[appearance]].tolist() for key in keys]
+        entries: list[Any] = [None] * len(starts)
+        for position, group in zip(
+                appearance.tolist(),
+                key_lists[0] if len(keys) == 1 else zip(*key_lists)):
+            entries[position] = agg_into.groups.setdefault(group, {})
+        for agg in aggs:
+            slots = entries
+            values = evaluated.get(agg.name)
+            if agg.kind == "count":
+                partials = np.diff(starts, append=k)
+            elif agg.kind == "sum" and values.dtype.kind == "f":
+                # One partial per cell, added up in row order as a page's
+                # own ``bincount`` would; a group's cells follow each other
+                # in page order, so merging them one by one is the fold.
+                pages = page_of[order]
+                new_cell = new_group.copy()
+                new_cell[1:] |= pages[1:] != pages[:-1]
+                partials = np.bincount(np.cumsum(new_cell) - 1,
+                                       weights=values[order])
+                slots = [entries[position] for position in
+                         (np.cumsum(new_group) - 1)[new_cell].tolist()]
             else:
-                key_dtype = np.dtype([(name, out_ctx.columns[name].dtype)
-                                      for name in names])
-                keys = np.empty(k_page, dtype=key_dtype)
-                for name in names:
-                    keys[name] = out_ctx.columns[name][segment]
-                groups, inverse = np.unique(keys, return_inverse=True)
-                group_list = [tuple(g) for g in groups.tolist()]
-            for agg in aggs:
-                if agg.kind == "count":
-                    partials = np.bincount(inverse, minlength=len(groups))
-                elif agg.kind == "sum":
-                    values = evaluated[agg.name][segment]
-                    weights = values.astype(np.float64)
-                    partials = np.bincount(inverse, weights=weights,
-                                           minlength=len(groups))
-                    if values.dtype.kind in "iu":
-                        partials = partials.astype(np.int64)
-                else:
-                    values = evaluated[agg.name][segment]
-                    reducer = np.minimum if agg.kind == "min" else np.maximum
-                    fill = values.max() if agg.kind == "min" \
-                        else values.min()
-                    partials = np.full(len(groups), fill, dtype=values.dtype)
-                    reducer.at(partials, inverse, values)
-                for group, partial in zip(group_list, partials.tolist()):
-                    entry = agg_into.groups.setdefault(group, {})
-                    entry[agg.name] = _merge_scalar(
-                        agg.kind, entry.get(agg.name), partial)
+                # ``reduceat`` over int64 is exact where a float-weighted
+                # ``bincount`` stops being so at 2**53.
+                reducer = {"sum": np.add, "min": np.minimum,
+                           "max": np.maximum}[agg.kind]
+                partials = reducer.reduceat(values[order], starts)
+            for entry, partial in zip(slots, partials.tolist()):
+                entry[agg.name] = _merge_scalar(
+                    agg.kind, entry.get(agg.name), partial)

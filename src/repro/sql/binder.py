@@ -324,6 +324,10 @@ class _AggBinder:
             slot = self._row_count_slot()
             return (lambda values, s=slot: values[s]), 0
         bound = self.expr_binder.scalar(node.arg)
+        if bound.char_width is not None:
+            raise SqlError(
+                f"{node.name} needs a numeric argument, got a "
+                f"CHAR({bound.char_width}) column")
         expr = bound.realize()
         if node.name in ("SUM", "MIN", "MAX"):
             slot = self._new_slot(node.name.lower())

@@ -12,6 +12,7 @@ from repro.engine import (
     Col,
     Compare,
     Const,
+    Div,
     HashTable,
     JoinSpec,
     Mul,
@@ -33,6 +34,7 @@ from repro.storage import (
     UnitColumns,
     build_heap_pages,
 )
+from repro.storage.layout import tuples_per_page
 
 
 @pytest.fixture
@@ -128,7 +130,6 @@ class TestFilterProject:
         query = Query(table="fact",
                       predicate=Compare(Col("val"), "<", Const(10)),
                       select=(("id", Col("id")),))
-        from repro.storage.layout import tuples_per_page
         __, partials = run_kernel(query, fact_schema, fact_rows, layout)
         cap = tuples_per_page(layout, fact_schema)
         first_page_tuples = min(cap, len(fact_rows))
@@ -217,6 +218,93 @@ class TestAggregates:
         for group, entry in expected.items():
             for key, value in entry.items():
                 assert state.groups[group][key] == value
+
+
+def fold_units(query, schema, rows, layout, unit_pages=None):
+    """Fold ``rows``' pages through the kernel, ``unit_pages`` per unit
+    (default: all of them in one unit); returns (AggState, counters)."""
+    kernel = BatchKernel(query, schema, layout)
+    pages = pages_of(schema, rows, layout)
+    step = unit_pages or len(pages)
+    agg, counters = AggState(), WorkCounters()
+    for lo in range(0, len(pages), step):
+        kernel.process_unit(pages[lo:lo + step], counters=counters,
+                            agg_into=agg)
+    return agg, counters
+
+
+@pytest.mark.parametrize("layout", [Layout.NSM, Layout.PAX])
+class TestUnitFold:
+    """The once-per-unit fold against one-page units and the reference."""
+
+    AGGS = (AggSpec("count", None, "n"), AggSpec("sum", Col("id"), "s"),
+            AggSpec("sum", Div(Col("id"), Const(7)), "f"),
+            AggSpec("min", Col("val"), "lo"), AggSpec("max", Col("id"), "hi"))
+
+    def paged_rows(self, schema, layout, page_fks, page_val=lambda p: 1):
+        """One full page per entry of ``page_fks``, cycling its fk values."""
+        cap = tuples_per_page(layout, schema)
+        return schema.rows_to_array(
+            [(p * cap + i, fks[i % len(fks)], page_val(p))
+             for p, fks in enumerate(page_fks) for i in range(cap)])
+
+    @pytest.mark.parametrize("unit_pages", [None, 1])
+    def test_grouped_integer_sum_is_exact_past_2_53(self, fact_schema, layout,
+                                                    unit_pages):
+        rows = fact_schema.rows_to_array(
+            [(2**53 + 1 + 2 * i, i % 2, 0) for i in range(1200)])
+        query = Query(table="fact", group_by="fk",
+                      aggregates=(AggSpec("sum", Col("id"), "s"),))
+        agg, __ = fold_units(query, fact_schema, rows, layout, unit_pages)
+        assert agg.groups == run_reference(query, {"fact": fact_schema},
+                                           {"fact": rows})
+
+    def test_groups_enter_in_first_appearance_order(self, fact_schema,
+                                                    layout):
+        rows = self.paged_rows(fact_schema, layout,
+                               [(3,), (3, 1), (7, 3, 0)])
+        query = Query(table="fact", group_by="fk", aggregates=self.AGGS)
+        unit, unit_counters = fold_units(query, fact_schema, rows, layout)
+        paged, page_counters = fold_units(query, fact_schema, rows, layout, 1)
+        assert list(unit.groups) == list(paged.groups) == [3, 1, 0, 7]
+        assert (unit, unit_counters) == (paged, page_counters)
+
+    @pytest.mark.parametrize("group_by", [None, "fk"])
+    def test_page_without_survivors_inside_a_unit(self, fact_schema, layout,
+                                                  group_by):
+        rows = self.paged_rows(fact_schema, layout, [(1, 2)] * 3,
+                               page_val=lambda p: -1 if p == 1 else p)
+        query = Query(table="fact", group_by=group_by, aggregates=self.AGGS,
+                      predicate=Compare(Col("val"), ">=", Const(0)))
+        assert (fold_units(query, fact_schema, rows, layout)
+                == fold_units(query, fact_schema, rows, layout, 1))
+
+    def test_unit_without_survivors(self, fact_schema, fact_rows, layout):
+        nothing = Compare(Col("val"), "<", Const(0))
+        scalar = Query(table="fact", predicate=nothing, aggregates=self.AGGS)
+        agg, __ = fold_units(scalar, fact_schema, fact_rows, layout)
+        assert agg == AggState(values={"n": 0, "s": 0, "f": 0, "lo": None,
+                                       "hi": None})
+        grouped = Query(table="fact", predicate=nothing, group_by="fk",
+                        aggregates=self.AGGS)
+        agg, counters = fold_units(grouped, fact_schema, fact_rows, layout)
+        assert agg == AggState(values=dict.fromkeys("n s f lo hi".split()))
+        assert counters.aggregate_updates == 0
+
+    @pytest.mark.parametrize("group_by", [None, "fk", ("fk", "val")])
+    def test_merge_of_two_units_equals_one_unit(self, fact_schema, layout,
+                                                group_by):
+        rows = self.paged_rows(fact_schema, layout, [(3,), (3, 1), (7, 3)],
+                               page_val=lambda p: p % 2)
+        cap = tuples_per_page(layout, fact_schema)
+        # Integer aggregates only: merging re-associates a float sum.
+        query = Query(table="fact", group_by=group_by,
+                      aggregates=self.AGGS[:2] + self.AGGS[3:])
+        head, __ = fold_units(query, fact_schema, rows[:2 * cap], layout)
+        tail, __ = fold_units(query, fact_schema, rows[2 * cap:], layout)
+        head.merge(tail, query.aggregates)
+        whole, __ = fold_units(query, fact_schema, rows, layout)
+        assert head == whole
 
 
 @pytest.mark.parametrize("layout", [Layout.NSM, Layout.PAX])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Placement, Session
 from repro.bench.runners import DeviceKind, make_tpch_db
 from repro.engine import Col, Const, run_reference
 from repro.host.db import Database
@@ -209,6 +210,23 @@ class TestBinderErrors:
         with pytest.raises(SqlError):
             compile_sql("SELECT SUM(SUM(l_quantity)) AS s FROM lineitem",
                         tpch_db.catalog)
+
+    @pytest.mark.parametrize("placement", [Placement.HOST, Placement.SMART])
+    @pytest.mark.parametrize("select", [
+        "MIN(l_shipmode) AS m FROM lineitem",
+        "SUM(l_shipmode) AS m FROM lineitem",
+        "l_returnflag, MAX(l_shipmode) AS m FROM lineitem "
+        "GROUP BY l_returnflag",
+        "l_returnflag, AVG(l_shipmode) AS m FROM lineitem "
+        "GROUP BY l_returnflag",
+    ])
+    def test_aggregate_over_char_column_rejected(self, tpch_db, select,
+                                                 placement):
+        """A typed error at the front door under either placement — not a
+        raw NumPy exception on the host or a crashed device program."""
+        with Session(tpch_db) as session:
+            with pytest.raises(SqlError, match="numeric argument"):
+                session.execute("SELECT " + select, placement)
 
     def test_bad_date_rejected(self, tpch_db):
         with pytest.raises(SqlError, match="DATE"):
