@@ -4,9 +4,10 @@
 "At the extreme end of this spectrum, the host machine could simply be the
 coordinator that stages computation across an array of Smart SSDs..."
 
-Partitions LINEITEM round-robin across N devices, replicates PART, and runs
+Shards LINEITEM round-robin across N devices, replicates PART, and runs
 Q6 (partitioned aggregate) and Q14 (partitioned join with a replicated
-build side) with the host acting purely as the merge coordinator.
+build side) through the session's scatter/gather path, with the host
+acting purely as the merge coordinator.
 
 Run:  python examples/smart_ssd_array.py
 """
@@ -16,9 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.sim import Simulator
-from repro.smart.array import SmartSsdArray
-from repro.storage import Layout
+import repro
+from repro import Layout, ShardSpec, SmartSsdSpec
 from repro.workloads import (
     generate_lineitem,
     generate_part,
@@ -32,14 +32,21 @@ RUN_SCALE = 0.02  # 120,000 LINEITEM rows
 
 
 def run(query, device_count: int, lineitem, part):
-    sim = Simulator()
-    array = SmartSsdArray(sim, device_count)
-    array.load_partitioned("lineitem", lineitem_schema(), Layout.PAX,
-                           lineitem)
-    # Dimension tables are replicated so each worker joins locally,
-    # exactly like a broadcast join in a parallel DBMS.
-    array.load_replicated("part", part_schema(), Layout.PAX, part)
-    return array.execute(query)
+    with repro.connect() as session:
+        names = [f"smart-ssd-{i}" for i in range(device_count)]
+        for name in names:
+            session.db.create_smart_ssd(SmartSsdSpec(name=name))
+        session.create_sharded_table("lineitem", lineitem_schema(),
+                                     Layout.PAX, lineitem, names,
+                                     spec=ShardSpec(kind="round_robin"))
+        # Dimension tables are replicated so each worker joins locally,
+        # exactly like a broadcast join in a parallel DBMS.
+        session.create_sharded_table("part", part_schema(), Layout.PAX,
+                                     part, names,
+                                     spec=ShardSpec(kind="replicated"))
+        session.submit(query, tenant="coordinator")
+        (report,) = session.gather()
+        return report
 
 
 def main() -> None:

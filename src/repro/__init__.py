@@ -69,7 +69,6 @@ from repro.errors import (
 )
 from repro.host.db import Database, DatabaseConfig
 from repro.model import ExecutionReport
-from repro.smart.array import SmartSsdArray
 from repro.sched import AdmissionPolicy, QueryScheduler, SchedulerConfig
 from repro.smart.device import SmartSsd, SmartSsdSpec
 from repro.storage import Column, Layout, Schema
@@ -123,7 +122,6 @@ __all__ = [
     "ShardSpec",
     "ShardUnavailable",
     "SmartSsd",
-    "SmartSsdArray",
     "SmartSsdSpec",
     "Sub",
     "TenantBatch",

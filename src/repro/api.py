@@ -1,10 +1,10 @@
 """The top-level facade: ``repro.connect(config) -> Session``.
 
-A :class:`Session` is the finalized front door for query execution. It
-wraps a :class:`~repro.host.db.Database`, takes placements as the
-:class:`~repro.engine.plans.Placement` enum (no more ``"host"``/``"smart"``
-strings), accepts either a built :class:`~repro.engine.plans.Query` or a
-SQL string, and is a context manager::
+A :class:`Session` is the one front door for query execution. It wraps a
+:class:`~repro.host.db.Database`, takes placements as the
+:class:`~repro.engine.plans.Placement` enum, accepts either a built
+:class:`~repro.engine.plans.Query` or a SQL string, and is a context
+manager::
 
     import repro
 
@@ -28,11 +28,6 @@ Three execution styles share one code path:
   :class:`~repro.serve.QueryHandle` tickets and
   :meth:`Session.gather_batches` yields versioned per-tenant
   :class:`~repro.serve.TenantBatch` results.
-
-The old string-typed ``Database.execute``/``Database.sql`` entry points
-remain as deprecated shims that emit one consolidated
-``DeprecationWarning`` pointing here; see ``docs/ARCHITECTURE.md`` for
-the migration table.
 """
 
 from __future__ import annotations
@@ -129,17 +124,12 @@ class Session:
                 window: Optional[int] = None) -> ExecutionReport:
         """Execute a built :class:`Query` or a SQL string.
 
-        ``placement`` is a :class:`Placement` (legacy strings are coerced);
+        ``placement`` is a :class:`Placement` (its wire strings are coerced);
         ``Placement.AUTO`` defers to the cost-based optimizer.
         """
         self._check_open()
-        if isinstance(query_or_sql, str):
-            query_or_sql = self.compile(query_or_sql)
-        elif not isinstance(query_or_sql, Query):
-            raise TypeError(
-                f"Session.execute takes a Query or a SQL string, "
-                f"got {type(query_or_sql).__name__}")
-        return self.db.execute_placed(query_or_sql, placement,
+        return self.db.execute_placed(self._coerce_query(query_or_sql),
+                                      placement,
                                       io_unit_pages=io_unit_pages,
                                       window=window)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from repro.api import connect
 from repro.bench import paper
 from repro.bench.figures import ExperimentResult
 from repro.bench.runners import (
@@ -30,8 +31,6 @@ from repro.bench.runners import (
     run_at_paper_scale,
 )
 from repro.model.costs import DEVICE_CPU
-from repro.sim import Simulator
-from repro.smart.array import SmartSsdArray
 from repro.smart.device import SmartSsdSpec
 from repro.storage import Layout
 from repro.units import MB, fmt_ratio
@@ -231,23 +230,31 @@ def ext_multi_ssd(
 ) -> ExperimentResult:
     """E2: Q6 sharded over an array of Smart SSDs.
 
-    Uses a larger run scale than the other experiments so per-session fixed
-    costs do not mask the scan-time scaling.
+    LINEITEM is striped round-robin over the devices as one sharded
+    catalog table and the query goes through the session's serving path,
+    which scatters it to the shards and merges the partials on the host —
+    the same path every other experiment uses, so at one device the
+    elapsed time is exactly a plain pushdown's. Uses a larger run scale
+    than the other experiments so per-session fixed costs do not mask the
+    scan-time scaling.
     """
     rows = []
     base_elapsed = None
     lineitem = generate_lineitem(run_scale)
     for count in device_counts:
-        sim = Simulator()
-        array = SmartSsdArray(sim, count)
-        array.load_partitioned("lineitem", lineitem_schema(), Layout.PAX,
-                               lineitem)
-        result = array.execute(q6_query())
+        session = connect()
+        names = [f"smart-ssd-{i}" for i in range(count)]
+        for name in names:
+            session.db.create_smart_ssd(SmartSsdSpec(name=name))
+        session.create_sharded_table("lineitem", lineitem_schema(),
+                                     Layout.PAX, lineitem, names)
+        session.submit(q6_query(), tenant="e2")
+        (report,) = session.gather()
         if base_elapsed is None:
-            base_elapsed = result.elapsed_seconds
-        rows.append([count, result.elapsed_seconds * 1e3,
-                     base_elapsed / result.elapsed_seconds,
-                     result.rows[0]["revenue"]])
+            base_elapsed = report.elapsed_seconds
+        rows.append([count, report.elapsed_seconds * 1e3,
+                     base_elapsed / report.elapsed_seconds,
+                     report.rows[0]["revenue"]])
     return ExperimentResult(
         experiment="Extension E2: Q6 across a Smart SSD array "
                    "(host as coordinator)",
@@ -355,8 +362,7 @@ def ext_concurrent_queries(
 
     Routed through the query scheduler with scan sharing *disabled* and
     admission wide open, so every session runs its own device scan — the
-    paper's §4.3 interference scenario, unchanged in semantics from the
-    pre-scheduler ``execute_concurrent`` implementation.
+    paper's §4.3 interference scenario.
     """
     from repro.sched import QueryScheduler, SchedulerConfig
     rows = []

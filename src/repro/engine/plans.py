@@ -21,10 +21,8 @@ class Placement(enum.Enum):
     """Where a query runs: on the host CPUs or pushed down to the device.
 
     ``AUTO`` defers to the cost-based optimizer
-    (:func:`repro.host.optimizer.choose_placement`). This enum replaces the
-    stringly-typed ``placement="host"|"smart"|"auto"`` arguments; the old
-    strings still round-trip through :meth:`coerce` for the deprecated
-    ``Database.execute`` shim.
+    (:func:`repro.host.optimizer.choose_placement`). The wire strings
+    ``"host"|"smart"|"auto"`` still round-trip through :meth:`coerce`.
     """
 
     HOST = "host"
@@ -33,7 +31,7 @@ class Placement(enum.Enum):
 
     @classmethod
     def coerce(cls, value: Union["Placement", str]) -> "Placement":
-        """Accept a :class:`Placement` or one of the legacy strings."""
+        """Accept a :class:`Placement` or its wire string."""
         if isinstance(value, cls):
             return value
         if isinstance(value, str):

@@ -49,10 +49,6 @@ class ProgramCrashError(DeviceError):
     """An in-device query program crashed mid-session."""
 
 
-class ArrayMemberError(DeviceError):
-    """A Smart SSD array member failed and its partition is unreachable."""
-
-
 class FaultConfigError(ReproError):
     """A fault-injection plan or retry policy is misconfigured."""
 

@@ -31,6 +31,7 @@ from repro.storage import (
     StatsConfig,
     build_heap_pages,
 )
+from repro.storage.stats import _splitmix64
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,55 @@ class Table:
         return self.heap.page_count
 
 
+def hash_shard_indices(values: np.ndarray, shard_count: int) -> np.ndarray:
+    """Stable hash partition: value -> shard index in ``[0, shard_count)``.
+
+    Uses the SplitMix64 finalizer (the same mixer the Bloom filters use)
+    so the assignment is deterministic across runs and platforms and
+    insensitive to the key distribution — sequential keys spread evenly.
+    Integer-like columns only (ints, dates, decimals in storage form).
+    """
+    if shard_count < 1:
+        raise PlanError("shard count must be positive")
+    values = np.asarray(values)
+    if values.dtype.kind == "M":
+        values = values.astype("datetime64[D]").astype(np.int64)
+    elif values.dtype.kind not in ("i", "u"):
+        raise PlanError(
+            f"hash sharding needs an integer-like key column, got "
+            f"dtype {values.dtype}")
+    keys = values.astype(np.int64, copy=False).view(np.uint64)
+    return (_splitmix64(keys) % np.uint64(shard_count)).astype(np.int64)
+
+
+def range_shard_indices(values: np.ndarray,
+                        bounds: Sequence[Any]) -> np.ndarray:
+    """Range partition against sorted split points: shard i holds
+    ``bounds[i-1] <= value < bounds[i]`` (shard 0 is everything below
+    ``bounds[0]``, the last shard everything at or above ``bounds[-1]``).
+    """
+    bounds = np.asarray(list(bounds))
+    if bounds.dtype.kind == "M":
+        bounds = bounds.astype("datetime64[D]").astype(np.int64)
+    elif len(bounds) and bounds.dtype.kind not in ("i", "u"):
+        raise PlanError(
+            f"range shard bounds must be in the key's integer storage "
+            f"form (dates as days since epoch), got dtype {bounds.dtype}")
+    if len(bounds) and not np.array_equal(bounds, np.sort(bounds)):
+        raise PlanError("range shard bounds must be sorted ascending")
+    values = np.asarray(values)
+    if values.dtype.kind == "M":
+        values = values.astype("datetime64[D]").astype(np.int64)
+    return np.searchsorted(bounds, values, side="right").astype(np.int64)
+
+
+def round_robin_indices(row_count: int, shard_count: int) -> np.ndarray:
+    """Stripe by row ordinal: row ``i`` goes to shard ``i % shard_count``."""
+    if shard_count < 1:
+        raise PlanError("shard count must be positive")
+    return np.arange(row_count, dtype=np.int64) % shard_count
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """How a logical relation is split across devices.
@@ -86,11 +136,6 @@ class ShardSpec:
     def shard_indices(self, rows: np.ndarray,
                       shard_count: int) -> np.ndarray:
         """Row -> shard assignment for one load (partitioned kinds only)."""
-        from repro.smart.array import (
-            hash_shard_indices,
-            range_shard_indices,
-            round_robin_indices,
-        )
         if self.kind == "replicated":
             raise PlanError("replicated tables are copied, not partitioned")
         if self.kind == "hash":

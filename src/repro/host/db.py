@@ -8,10 +8,10 @@ catalog, and storage devices — and executes queries with a chosen
 * ``Placement.SMART`` — pushdown through OPEN/GET/CLOSE;
 * ``Placement.AUTO`` — the §4.3-style cost-based optimizer decides.
 
-:meth:`Database.execute_placed` is the canonical entry point; the
-string-typed :meth:`Database.execute`/:meth:`Database.sql` remain as
-deprecated shims. New code should go through the top-level facade,
-``repro.connect() -> Session``.
+:meth:`Database.execute_placed` runs one built query; everything else —
+SQL strings, batches, sharded tables, tenants — enters through the
+top-level facade, ``repro.connect() -> Session``, which ends here for a
+single query and in the scheduler/serving layer for many.
 
 Every execution returns an :class:`~repro.model.report.ExecutionReport`
 with the result rows, virtual elapsed time, work counters, I/O stats, and
@@ -22,7 +22,6 @@ metric aggregates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence, Union
 
@@ -201,8 +200,7 @@ class Database:
         """Run a query to completion and account for it (canonical API).
 
         ``placement`` is a :class:`~repro.engine.plans.Placement`;
-        ``Placement.AUTO`` asks the cost-based optimizer (§4.3). Legacy
-        strings are still coerced for the deprecated shims.
+        ``Placement.AUTO`` asks the cost-based optimizer (§4.3).
         """
         placement = Placement.coerce(placement)
         if placement is Placement.AUTO:
@@ -292,42 +290,6 @@ class Database:
             report.profile = obs.profile(spans_before)
         return report
 
-    #: One consolidated migration message for every legacy entry point —
-    #: the typed Session facade replaced them all (docs/ARCHITECTURE.md).
-    _LEGACY_API_WARNING = (
-        "The legacy Database.{name}() entry point is deprecated; open a "
-        "typed session with repro.connect() and use Session.execute / "
-        "Session.submit instead (see docs/ARCHITECTURE.md for the "
-        "migration table)")
-
-    def execute(self, query: Query, placement: str = "host",
-                io_unit_pages: Optional[int] = None,
-                window: Optional[int] = None) -> ExecutionReport:
-        """Deprecated string-typed shim; use :meth:`execute_placed`.
-
-        Kept so existing callers (and the seed tests) run unchanged, at
-        the cost of a :class:`DeprecationWarning`.
-        """
-        warnings.warn(self._LEGACY_API_WARNING.format(name="execute"),
-                      DeprecationWarning, stacklevel=2)
-        return self.execute_placed(query, placement,
-                                   io_unit_pages=io_unit_pages,
-                                   window=window)
-
-    def sql(self, statement: str, placement: str = "host",
-            **kwargs) -> ExecutionReport:
-        """Deprecated SQL shim; use ``Session.execute(sql_string)``.
-
-        Parses, binds, and executes a SQL SELECT statement in the paper's
-        dialect (see :mod:`repro.sql`). Extra keyword arguments are
-        forwarded to :meth:`execute_placed`.
-        """
-        warnings.warn(self._LEGACY_API_WARNING.format(name="sql"),
-                      DeprecationWarning, stacklevel=2)
-        from repro.sql import compile_sql
-        query = compile_sql(statement, self.catalog)
-        return self.execute_placed(query, placement, **kwargs)
-
     def explain(self, query_or_sql,
                 placement: Union[Placement, str] = Placement.SMART) -> str:
         """Render the physical plan (Figures 4/6 style) for a query or SQL."""
@@ -373,88 +335,6 @@ class Database:
         if not proc.triggered:
             raise PlanError(f"flush of {table_name!r} deadlocked")
         return proc.value
-
-    def execute_concurrent(
-            self, runs: Sequence[tuple[Query, Union[Placement, str]]]
-            ) -> list[ExecutionReport]:
-        """Run several queries concurrently in one simulated window.
-
-        Models the paper's §4.3 concern about "the impact of concurrent
-        queries": sessions contend for device CPU, the DRAM bus, the host
-        interface, and host cores. Returns one report per query, in input
-        order; each report's elapsed time is that query's own completion
-        time, and the energy block (attached to every report identically)
-        covers the whole window.
-
-        With observability enabled, run *i* gets its own span track
-        (``query:<name>#<i>``) so concurrent executions never share a
-        lane, and every report carries the whole window's profile.
-        """
-        placements = [Placement.coerce(placement) for __, placement in runs]
-        obs = self.sim.obs
-        spans_before = len(obs.spans) if obs is not None else 0
-        start = self.sim.now
-        snapshots = {name: self._busy_snapshot(device)
-                     for name, device in self._devices.items()}
-        host_cpu_before = self.machine.cpu_core_seconds()
-
-        completions: list[Optional[float]] = [None] * len(runs)
-        outcomes: list[Optional[QueryOutcome]] = [None] * len(runs)
-
-        def wrapper(index: int, query: Query, placement: Placement):
-            track = f"query:{query.name}#{index}"
-            root_span = None
-            if obs is not None:
-                root_span = obs.span(
-                    "query", track=track, query=query.name,
-                    placement=placement.value, index=index).__enter__()
-            try:
-                if placement is Placement.HOST:
-                    outcome = yield from host_query_process(self, query,
-                                                            track=track)
-                else:
-                    outcome = yield from smart_query_process(self, query,
-                                                             track=track)
-            finally:
-                if root_span is not None:
-                    root_span.finish()
-            completions[index] = self.sim.now
-            outcomes[index] = outcome
-
-        procs = [self.sim.process(wrapper(i, query, placements[i]),
-                                  name=f"concurrent-{i}")
-                 for i, (query, __) in enumerate(runs)]
-        gate = self.sim.all_of(procs)
-        self.sim.run()
-        if not gate.triggered:
-            raise PlanError("concurrent batch deadlocked")
-
-        window = self.sim.now - start
-        host_cpu = self.machine.cpu_core_seconds() - host_cpu_before
-        activities = [self._device_activity(device, snapshots[name])
-                      for name, device in self._devices.items()]
-        energy = self.energy_meter.measure(window, host_cpu, activities)
-
-        profile = obs.profile(spans_before) if obs is not None else None
-        reports = []
-        for (query, __), placement, outcome, done_at in zip(
-                runs, placements, outcomes, completions):
-            table = self.catalog.table(query.table)
-            report = ExecutionReport(
-                rows=outcome.rows,
-                elapsed_seconds=done_at - start,
-                placement=placement.value,
-                device_name=table.device_name,
-                layout=table.layout.value,
-                counters=outcome.counters,
-                energy=energy,
-                host_cpu_core_seconds=host_cpu,
-                profile=profile,
-            )
-            if obs is not None:
-                self._absorb_metrics(obs, query, placement, report)
-            reports.append(report)
-        return reports
 
     def _absorb_metrics(self, obs, query: Query, placement: Placement,
                         report: ExecutionReport) -> None:

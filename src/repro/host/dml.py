@@ -23,10 +23,10 @@ from repro.engine.expressions import EvalContext, Expr
 from repro.errors import CatalogError, PlanError
 from repro.model.counters import WorkCounters
 from repro.sim import Event
-from repro.smart.programs.base import IO_UNIT_PAGES
 from repro.storage import decode_page, encode_page
 from repro.storage.heapfile import unit_lpn_runs
 from repro.storage.page import PageHeader
+from repro.units import IO_UNIT_PAGES
 
 if TYPE_CHECKING:
     from repro.host.db import Database

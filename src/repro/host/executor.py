@@ -42,8 +42,8 @@ from repro.obs import NULL_SPAN
 from repro.sim import Event, Resource
 from repro.storage.heapfile import unit_lpn_runs
 from repro.smart.device import SmartSsd
-from repro.smart.programs import IO_UNIT_PAGES, PIPELINE_WINDOW
 from repro.smart.protocol import OpenParams, SessionStatus
+from repro.units import IO_UNIT_PAGES, PIPELINE_WINDOW
 
 if TYPE_CHECKING:
     from repro.host.db import Database

@@ -34,10 +34,20 @@ which is always available and always exact. The decline reasons are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.engine.plans import Placement
-from repro.smart.array import lane_partition
+
+
+def lane_partition(device_names: Iterable[str]) -> tuple[str, ...]:
+    """Canonical device ordering for per-device parallel execution.
+
+    The fleet's execution *lanes* — one isolated simulation per device
+    group — are always created, dispatched, and merged in this order, so
+    every parallel run is deterministic whatever the worker scheduling
+    was.
+    """
+    return tuple(sorted(dict.fromkeys(device_names)))
 
 
 @dataclass(frozen=True)

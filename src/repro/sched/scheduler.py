@@ -16,8 +16,8 @@ The scheduler is deliberately a *planner plus pump*, not a policy engine:
 ``gather()`` plans the shared groups, spawns one simulation process per
 execution unit, runs the world to completion, and assembles one
 :class:`~repro.model.report.ExecutionReport` per submission in submission
-order — the same accounting window shape as
-:meth:`~repro.host.db.Database.execute_concurrent`.
+order: each report's elapsed time is that query's own completion time,
+and the energy block (identical on every report) covers the whole window.
 
 Fairness caveats are documented in ``docs/SCHEDULER.md``: late attachers
 bypass admission control (they add marginal work to an already-admitted

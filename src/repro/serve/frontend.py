@@ -38,6 +38,7 @@ from repro.engine.plans import Placement, Query
 from repro.errors import (
     AdmissionRejected,
     CatalogError,
+    DeviceTimeoutError,
     PlanError,
     ServingError,
     ShardUnavailable,
@@ -305,7 +306,10 @@ class Frontend:
         Deterministic: token grants are computed sequentially in
         ``(arrival, submission)`` order, cache keys bind the table
         versions current at cycle start, and the device batch runs under
-        the discrete-event simulator.
+        the discrete-event simulator. Raises
+        :class:`~repro.errors.ShardUnavailable` (chained to the
+        :class:`~repro.errors.DeviceTimeoutError`) when a shard's device
+        answers neither pushdown nor block reads.
         """
         pending, self._pending = self._pending, []
         if not pending:
@@ -368,7 +372,25 @@ class Frontend:
             runs.append((handle, plan, key, tickets))
 
         start = db.sim.now
-        reports = self.scheduler.gather()
+        try:
+            reports = self.scheduler.gather()
+        except DeviceTimeoutError as exc:
+            if span is not None:
+                span.finish()
+            # A shard whose device answers neither pushdown nor block
+            # reads has no replica to fall back on: name it.
+            dead = next(((handle, ticket)
+                         for handle, plan, __, tickets in runs
+                         if plan is not None for ticket in tickets
+                         if ticket.done_at is None), None)
+            if dead is None:
+                raise
+            handle, ticket = dead
+            shard = catalog.table(ticket.query.table)
+            raise ShardUnavailable(
+                f"shard {shard.name!r} of {handle.query.table!r} on "
+                f"device {shard.device_name!r} is unreachable: {exc}"
+            ) from exc
         for handle, plan, key, tickets in runs:
             shard_reports = [reports[ticket.index] for ticket in tickets]
             handle.report = self._merge_reports(handle, plan, key, tickets,

@@ -15,7 +15,6 @@ from repro.smart.protocol import (
 )
 from repro.smart.runtime import SmartRuntime
 from repro.smart.device import SmartSsd, SmartSsdSpec
-from repro.smart.array import SmartSsdArray
 
 __all__ = [
     "CommandKind",
@@ -24,6 +23,5 @@ __all__ = [
     "SessionStatus",
     "SmartRuntime",
     "SmartSsd",
-    "SmartSsdArray",
     "SmartSsdSpec",
 ]

@@ -10,12 +10,7 @@ set with a multi-query circular scan that serves the host scheduler's
 cooperative scan sharing.
 """
 
-from repro.smart.programs.base import (
-    IO_UNIT_PAGES,
-    PIPELINE_WINDOW,
-    DeviceProgram,
-    ProgramArguments,
-)
+from repro.smart.programs.base import DeviceProgram, ProgramArguments
 from repro.smart.programs.scan import ScanFilterProgram
 from repro.smart.programs.aggregate import AggregateProgram
 from repro.smart.programs.join import HashJoinProgram
@@ -35,8 +30,6 @@ __all__ = [
     "AggregateProgram",
     "DeviceProgram",
     "HashJoinProgram",
-    "IO_UNIT_PAGES",
-    "PIPELINE_WINDOW",
     "ProgramArguments",
     "ScanFilterProgram",
     "SharedScanArguments",

@@ -39,18 +39,13 @@ from repro.faults import SITE_SESSION_CRASH, check_fault
 from repro.model.counters import WorkCounters
 from repro.sim import Event, Resource
 from repro.storage.heapfile import HeapFile, unit_lpn_runs
+from repro.units import IO_UNIT_PAGES, PIPELINE_WINDOW
 
 from repro.smart.protocol import SessionStatus
 
 if TYPE_CHECKING:
     from repro.smart.device import SmartSsd
     from repro.smart.runtime import Session
-
-#: Pages per I/O unit: the paper's Table 2 measures with 32-page (256 KB) I/Os.
-IO_UNIT_PAGES = 32
-
-#: In-flight I/O units per session (pipeline lookahead window).
-PIPELINE_WINDOW = 8
 
 #: Serialized size of one streamed result-chunk frame (headers etc.).
 RESULT_FRAME_NBYTES = 256

@@ -41,11 +41,10 @@ from repro.sim import Event, Resource
 from repro.storage.heapfile import HeapFile, unit_lpn_runs
 from repro.storage.layout import Layout, touched_bytes
 from repro.storage.unitdecode import UnitColumns
+from repro.units import IO_UNIT_PAGES, PIPELINE_WINDOW
 
 from repro.smart.programs.base import (
     AGG_VALUE_NBYTES,
-    IO_UNIT_PAGES,
-    PIPELINE_WINDOW,
     RESULT_FRAME_NBYTES,
     DeviceProgram,
     _maybe_crash,

@@ -22,6 +22,13 @@ MS = 1e-3
 #: paper quote decimal MB/s; e.g. the paper's 550 MB/s and 1,560 MB/s).
 MB_PER_S = MB
 
+#: Pages per I/O unit: the paper's Table 2 measures with 32-page (256 KB)
+#: I/Os.
+IO_UNIT_PAGES = 32
+
+#: In-flight I/O units per scan (pipeline lookahead window).
+PIPELINE_WINDOW = 8
+
 
 def mb_per_s(rate_bytes_per_s: float) -> float:
     """Convert a bytes-per-second rate to decimal MB/s for reporting."""

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.extrapolate import extrapolate_run
 from repro.bench.runners import DeviceKind, make_tpch_db
+from repro.engine import Placement
 from repro.storage import Layout
 from repro.workloads import q6_query, q14_query
 
@@ -19,7 +20,7 @@ SCALE = 0.01  # 60,000 LINEITEM rows: long enough to amortize pipeline fill
 def run_and_compare(device, layout, placement, query, tolerance,
                     scale=SCALE):
     db = make_tpch_db(device, layout, scale)
-    report = db.execute(query, placement=placement)
+    report = db.execute_placed(query, placement)
     estimate = extrapolate_run(db, query, report, factor=1.0)
     assert report.elapsed_seconds == pytest.approx(
         estimate.elapsed_seconds, rel=tolerance), (
@@ -53,7 +54,7 @@ class TestAgreement:
 
     def test_extrapolation_is_linear_in_factor(self):
         db = make_tpch_db(DeviceKind.SSD, Layout.NSM, SCALE)
-        report = db.execute(q6_query(), placement="host")
+        report = db.execute_placed(q6_query(), Placement.HOST)
         one = extrapolate_run(db, q6_query(), report, factor=1.0)
         ten = extrapolate_run(db, q6_query(), report, factor=10.0)
         # An interface-bound scan scales linearly with data size.

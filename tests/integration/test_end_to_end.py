@@ -8,7 +8,7 @@ against the placement-free reference executor.
 import numpy as np
 import pytest
 
-from repro.engine import run_reference
+from repro.engine import Placement, run_reference
 from repro.host.db import Database
 from repro.storage import Layout
 from repro.workloads import (
@@ -58,7 +58,7 @@ class TestQ6:
         lineitem, __ = tpch_data
         db = smart_db(layout, tpch_data)
         query = q6_query()
-        report = db.execute(query, placement=placement)
+        report = db.execute_placed(query, placement)
         expected = run_reference(query, {"lineitem": lineitem_schema()},
                                  {"lineitem": lineitem})
         assert report.rows[0]["revenue"] == pytest.approx(expected["revenue"])
@@ -67,8 +67,8 @@ class TestQ6:
     def test_q6_smart_and_host_agree(self, tpch_data):
         db = smart_db(Layout.PAX, tpch_data)
         query = q6_query()
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert host.rows[0]["revenue"] == pytest.approx(
             smart.rows[0]["revenue"])
 
@@ -93,7 +93,7 @@ class TestQ14:
         lineitem, part = tpch_data
         db = smart_db(Layout.PAX, tpch_data)
         query = q14_query()
-        report = db.execute(query, placement=placement)
+        report = db.execute_placed(query, placement)
         expected = run_reference(
             query,
             {"lineitem": lineitem_schema(), "part": part_schema()},
@@ -117,7 +117,7 @@ class TestSyntheticJoin:
         db.create_table("synthetic64_s", synthetic64_s_schema(), Layout.PAX,
                         s, "smart-ssd")
         query = synthetic_join_query(selectivity)
-        report = db.execute(query, placement=placement)
+        report = db.execute_placed(query, placement)
         expected = run_reference(
             query,
             {"synthetic64_s": synthetic64_s_schema(),
@@ -133,8 +133,8 @@ class TestSyntheticJoin:
         db.create_table("synthetic64_s", synthetic64_s_schema(), Layout.NSM,
                         s, "smart-ssd")
         query = synthetic_scan_query(10)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert np.array_equal(host.rows["s_col_1"], smart.rows["s_col_1"])
         expected_rows = int((s["s_col_3"] < 10).sum())
         assert len(host.rows) == expected_rows
@@ -143,7 +143,7 @@ class TestSyntheticJoin:
 class TestReports:
     def test_report_has_energy_and_io(self, tpch_data):
         db = smart_db(Layout.PAX, tpch_data)
-        report = db.execute(q6_query(), placement="smart")
+        report = db.execute_placed(q6_query(), Placement.SMART)
         assert report.energy is not None
         assert report.energy.entire_system_j > 0
         assert report.energy.io_subsystem_j > 0
@@ -154,17 +154,19 @@ class TestReports:
 
     def test_smart_moves_less_over_interface(self, tpch_data):
         db = smart_db(Layout.PAX, tpch_data)
-        host = db.execute(q6_query(), placement="host")
+        host = db.execute_placed(q6_query(), Placement.HOST)
         db2 = smart_db(Layout.PAX, tpch_data)
-        smart = db2.execute(q6_query(), placement="smart")
+        smart = db2.execute_placed(q6_query(), Placement.SMART)
         assert smart.io.bytes_over_interface < host.io.bytes_over_interface / 10
 
     def test_host_counters_equal_smart_counters_for_same_scan(self,
                                                               tpch_data):
         """Same kernels, same data => same work counted (minus placement)."""
         query = q6_query()
-        host = smart_db(Layout.PAX, tpch_data).execute(query, "host")
-        smart = smart_db(Layout.PAX, tpch_data).execute(query, "smart")
+        host = smart_db(Layout.PAX, tpch_data).execute_placed(
+            query, Placement.HOST)
+        smart = smart_db(Layout.PAX, tpch_data).execute_placed(
+            query, Placement.SMART)
         assert (host.counters.predicates_evaluated
                 == smart.counters.predicates_evaluated)
         assert (host.counters.pax_values_extracted

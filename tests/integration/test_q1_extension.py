@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runners import DeviceKind, make_tpch_db
-from repro.engine import run_reference
+from repro.engine import Placement, run_reference
 from repro.storage import Layout
 from repro.workloads import generate_lineitem, lineitem_schema, q1_query
 
@@ -21,7 +21,7 @@ class TestQ1:
     def test_matches_reference(self, lineitem, placement, layout):
         db = make_tpch_db(DeviceKind.SMART, layout, SCALE)
         query = q1_query()
-        report = db.execute(query, placement=placement)
+        report = db.execute_placed(query, placement)
         expected = run_reference(query, {"lineitem": lineitem_schema()},
                                  {"lineitem": lineitem})
         assert len(report.rows) == len(expected)
@@ -37,14 +37,14 @@ class TestQ1:
     def test_six_groups(self, lineitem):
         """3 return flags x 2 line statuses."""
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, SCALE)
-        report = db.execute(q1_query(), placement="smart")
+        report = db.execute_placed(q1_query(), Placement.SMART)
         assert len(report.rows) == 6
         flags = {row["l_returnflag"] for row in report.rows}
         assert flags == {b"A", b"N", b"R"}
 
     def test_averages_consistent_with_sums(self, lineitem):
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, SCALE)
-        report = db.execute(q1_query(), placement="smart")
+        report = db.execute_placed(q1_query(), Placement.SMART)
         for row in report.rows:
             assert row["avg_qty"] == pytest.approx(
                 row["sum_qty"] / row["count_order"])
@@ -55,12 +55,12 @@ class TestQ1:
     def test_q1_is_a_strong_pushdown_case(self, lineitem):
         """Full scan folding into 6 rows: the device's sweet spot."""
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, SCALE)
-        smart = db.execute(q1_query(), placement="smart")
+        smart = db.execute_placed(q1_query(), Placement.SMART)
         assert smart.io.bytes_over_interface < 64 * 1024  # frames + 6 rows
 
     def test_rows_sorted_by_group(self, lineitem):
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, SCALE)
-        report = db.execute(q1_query(), placement="host")
+        report = db.execute_placed(q1_query(), Placement.HOST)
         groups = [(row["l_returnflag"], row["l_linestatus"])
                   for row in report.rows]
         assert groups == sorted(groups)

@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.engine import AggSpec, Col, Compare, Const, Placement, Query
 from repro.host.db import Database
 from repro.obs import chrome_trace, validate_chrome_trace
+from repro.sched import SchedulerConfig
 from repro.storage import Column, Int32Type, Layout, Schema
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -89,7 +91,8 @@ class TestSpanNesting:
         runs = [(agg_query("c0"), Placement.SMART),
                 (agg_query("c1"), Placement.SMART),
                 (agg_query("c2"), Placement.HOST)]
-        reports = db.execute_concurrent(runs)
+        reports = Session(db, SchedulerConfig(
+            share_scans=False)).execute_concurrent(runs)
         grouped = db.obs.spans_by_track()
         for track, records in grouped.items():
             assert_properly_nested(records)

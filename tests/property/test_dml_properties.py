@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Col, Compare, Const, Mul, Query, AggSpec
+from repro.engine import Col, Compare, Const, Mul, Query, AggSpec, Placement
 from repro.host.db import Database
 from repro.storage import Column, Int32Type, Layout, Schema
 
@@ -61,10 +61,10 @@ def test_updates_track_numpy_model(steps, seed):
 
     # The host path always sees the model.
     total = Query(table="t", aggregates=(AggSpec("sum", Col("v"), "s"),))
-    host = db.execute(total, placement="host")
+    host = db.execute_placed(total, Placement.HOST)
     assert host.rows[0]["s"] == int(model.sum())
 
     # After a final flush, pushdown agrees too.
     db.flush_table("t")
-    smart = db.execute(total, placement="smart")
+    smart = db.execute_placed(total, Placement.SMART)
     assert smart.rows[0]["s"] == int(model.sum())

@@ -18,6 +18,7 @@ from repro.engine import (
     Const,
     JoinSpec,
     Or,
+    Placement,
     Query,
     run_reference,
 )
@@ -119,8 +120,8 @@ def test_three_way_equivalence(query, data, layout):
     expected = run_reference(query, {"fact": FACT_SCHEMA,
                                      "dim": DIM_SCHEMA},
                              {"fact": fact, "dim": dim})
-    host = db.execute(query, placement="host")
-    smart = db.execute(query, placement="smart")
+    host = db.execute_placed(query, Placement.HOST)
+    smart = db.execute_placed(query, Placement.SMART)
 
     if query.select:
         for name in query.output_names():

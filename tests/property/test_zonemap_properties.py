@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.engine import And, Col, Compare, Const, LikePrefix, Or, Query
 from repro.engine.expressions import EvalContext
+from repro.engine.plans import Placement
 from repro.engine.pruning import build_pruner, _prefix_upper
 from repro.errors import CatalogError, StorageError
 from repro.host.db import Database
@@ -141,7 +142,7 @@ def test_differential_skipping_on_vs_off(rows, predicate):
         db.create_smart_ssd()
         db.create_table("t", SCHEMA, Layout.PAX, rows, "smart-ssd",
                         stats_config=config)
-        results.append(db.execute(query, placement="smart"))
+        results.append(db.execute_placed(query, Placement.SMART))
     pruned, full = results
     assert full.counters.pages_skipped == 0
     for name in ("k", "v"):

@@ -1,5 +1,8 @@
-"""Tests for the redesigned front door: Placement, connect()/Session,
-deprecated Database shims, and the versioned report JSON schema."""
+"""Tests for the front door: Placement, connect()/Session, the absence of
+the old Database shims, and the versioned report JSON schema."""
+
+import importlib.util
+import warnings
 
 import numpy as np
 import pytest
@@ -104,23 +107,18 @@ class TestSessionFacade:
 
 
 class TestDeprecatedShims:
-    def test_database_execute_warns_and_still_works(self):
-        session = loaded_session()
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            legacy = session.db.execute(agg_query(), placement="smart")
-        modern = session.db.execute_placed(agg_query(), Placement.SMART)
-        assert legacy.rows == modern.rows
-        assert legacy.placement == modern.placement == "smart"
+    """The string-typed shims and the second fleet are gone for good."""
 
-    def test_database_sql_warns(self):
-        session = loaded_session()
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            report = session.db.sql("SELECT COUNT(*) AS n FROM t")
-        assert report.row_count == 1
+    def test_database_has_no_legacy_entry_points(self):
+        for name in ("execute", "sql", "execute_concurrent"):
+            assert not hasattr(Database, name)
+        # One fleet: nothing array-shaped is exported any more.
+        assert not [name for name in dir(repro) + dir(repro.smart)
+                    if "Array" in name]
+        assert importlib.util.find_spec("repro.smart.array") is None
 
     def test_execute_placed_does_not_warn(self):
         session = loaded_session()
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             session.db.execute_placed(agg_query(), Placement.SMART)

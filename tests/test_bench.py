@@ -11,6 +11,7 @@ from repro.bench import (
     run_at_paper_scale,
 )
 from repro.bench import paper
+from repro.engine import Placement
 from repro.storage import Layout
 from repro.workloads import q6_query, synthetic_join_query
 
@@ -65,7 +66,7 @@ class TestRunners:
 class TestExtrapolation:
     def test_factor_one_close_to_des(self):
         db = make_tpch_db(DeviceKind.SSD, Layout.NSM, 0.005)
-        report = db.execute(q6_query(), placement="host")
+        report = db.execute_placed(q6_query(), Placement.HOST)
         estimate = extrapolate_run(db, q6_query(), report, 1.0)
         assert estimate.elapsed_seconds == pytest.approx(
             report.elapsed_seconds, rel=0.15)
@@ -75,7 +76,7 @@ class TestExtrapolation:
         DRAM-resident at SF-100 — the flag must be decided at target."""
         from repro.workloads import q14_query
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, 0.002)
-        report = db.execute(q14_query(), placement="smart")
+        report = db.execute_placed(q14_query(), Placement.SMART)
         small = extrapolate_run(db, q14_query(), report, 1.0)
         large = extrapolate_run(db, q14_query(), report, 50_000.0)
         per_build_small = small.device_cycles / max(
@@ -86,7 +87,7 @@ class TestExtrapolation:
 
     def test_energy_attached(self):
         db = make_tpch_db(DeviceKind.HDD, Layout.NSM, 0.002)
-        report = db.execute(q6_query(), placement="host")
+        report = db.execute_placed(q6_query(), Placement.HOST)
         estimate = extrapolate_run(db, q6_query(), report, 1000.0)
         assert estimate.energy.entire_system_j > 0
         assert estimate.energy.io_subsystem_j > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import Col, Compare, Const, Query, run_reference
+from repro.engine import Col, Compare, Const, Placement, Query, run_reference
 from repro.engine.kernels import order_and_limit_indexes, top_n_indexes
 from repro.errors import PlanError
 from repro.host.db import Database
@@ -86,7 +86,7 @@ class TestEndToEnd:
         rows = self.make_rows(schema)
         db = make_db(schema, rows)
         query = topn_query(n=25, descending=descending)
-        report = db.execute(query, placement=placement)
+        report = db.execute_placed(query, placement)
         expected = run_reference(query, {"t": schema}, {"t": rows})
         assert np.array_equal(report.rows["v"], expected["v"])
         assert np.array_equal(report.rows["k"], expected["k"])
@@ -95,8 +95,8 @@ class TestEndToEnd:
     def test_matches_plain_numpy(self, schema):
         rows = self.make_rows(schema)
         db = make_db(schema, rows)
-        report = db.execute(topn_query(n=10, descending=True),
-                            placement="smart")
+        report = db.execute_placed(topn_query(n=10, descending=True),
+                                   Placement.SMART)
         expected = np.sort(rows["v"])[::-1][:10]
         assert report.rows["v"].tolist() == expected.tolist()
 
@@ -105,8 +105,8 @@ class TestEndToEnd:
         db = make_db(schema, rows)
         query = topn_query(n=7, predicate=Compare(Col("k"), "<",
                                                   Const(1000)))
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert np.array_equal(host.rows, smart.rows)
         assert (host.rows["k"] < 1000).all()
 
@@ -114,7 +114,7 @@ class TestEndToEnd:
         rows = self.make_rows(schema, n=500)
         db = make_db(schema, rows)
         query = Query(table="t", select=(("v", Col("v")),), order_by="v")
-        report = db.execute(query, placement="smart")
+        report = db.execute_placed(query, Placement.SMART)
         assert report.rows["v"].tolist() == sorted(rows["v"].tolist())
 
     def test_device_ships_only_topn_rows(self, schema):
@@ -123,8 +123,8 @@ class TestEndToEnd:
         db = make_db(schema, rows)
         full = Query(table="t", select=(("v", Col("v")),))
         limited = topn_query(n=10)
-        full_run = db.execute(full, placement="smart")
-        limited_run = db.execute(limited, placement="smart")
+        full_run = db.execute_placed(full, Placement.SMART)
+        limited_run = db.execute_placed(limited, Placement.SMART)
         # The limited run's interface traffic is dominated by fixed
         # OPEN/GET/CLOSE frames; the full run ships every value.
         assert (limited_run.io.bytes_over_interface
@@ -136,8 +136,8 @@ class TestEndToEnd:
         rows["v"] = 42  # all equal: pure tie-breaking test
         db = make_db(schema, rows)
         query = topn_query(n=9, descending=False)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         expected = run_reference(query, {"t": schema}, {"t": rows})
         assert np.array_equal(host.rows["k"], expected["k"])
         assert np.array_equal(smart.rows["k"], expected["k"])

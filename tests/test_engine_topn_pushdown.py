@@ -10,7 +10,7 @@ interface-traffic optimization, never a semantics change.
 import numpy as np
 import pytest
 
-from repro.engine import Col, Compare, Const, Query, run_reference
+from repro.engine import Col, Compare, Const, Placement, Query, run_reference
 from repro.engine.kernels import TopNState
 from repro.host.db import Database
 from repro.storage import (
@@ -65,8 +65,8 @@ class TestGoldenDifferential:
         rows = make_rows()
         db = make_db(rows, layout)
         query = topn_query(limit, descending)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         reference = run_reference(query, {"t": SCHEMA}, {"t": rows})
         assert_bit_identical(smart.rows, host.rows)
         for name in ("k", "v"):
@@ -79,8 +79,8 @@ class TestGoldenDifferential:
         db = make_db(rows)
         query = topn_query(9, descending,
                            predicate=Compare(Col("v"), ">=", Const(25)))
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert_bit_identical(smart.rows, host.rows)
         assert np.all(smart.rows["v"] >= 25)
 
@@ -92,8 +92,8 @@ class TestGoldenDifferential:
         rows["v"] = 7
         db = make_db(rows)
         query = topn_query(13, descending)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert_bit_identical(smart.rows, host.rows)
 
     def test_char_order_by(self):
@@ -110,8 +110,8 @@ class TestGoldenDifferential:
         query = Query(table="t",
                       select=(("k", Col("k")), ("tag", Col("tag"))),
                       order_by="tag", descending=True, limit=6)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         for name in ("k", "tag"):
             assert smart.rows[name].dtype == host.rows[name].dtype
             assert np.array_equal(smart.rows[name], host.rows[name])
@@ -121,8 +121,8 @@ class TestGoldenDifferential:
         db = make_db(rows)
         query = topn_query(5, predicate=Compare(Col("v"), "<",
                                                 Const(-10**6)))
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert smart.row_count == host.row_count == 0
         assert_bit_identical(smart.rows, host.rows)
 
@@ -132,10 +132,10 @@ class TestGoldenDifferential:
         rows = make_rows()
         db = make_db(rows)
         query = topn_query(4, distinct=True)
-        host = db.execute(query, placement="host")
-        smart = db.execute(query, placement="smart")
+        host = db.execute_placed(query, Placement.HOST)
+        smart = db.execute_placed(query, Placement.SMART)
         assert_bit_identical(smart.rows, host.rows)
-        folded = db.execute(topn_query(4), placement="smart")
+        folded = db.execute_placed(topn_query(4), Placement.SMART)
         # The distinct run ships per-unit chunks, not one folded frame.
         assert (smart.io.bytes_over_interface
                 > folded.io.bytes_over_interface)
@@ -147,8 +147,8 @@ class TestInterfaceTraffic:
         db = make_db(rows)
         unlimited = Query(table="t",
                           select=(("k", Col("k")), ("v", Col("v"))))
-        full = db.execute(unlimited, placement="smart")
-        limited = db.execute(topn_query(8), placement="smart")
+        full = db.execute_placed(unlimited, Placement.SMART)
+        limited = db.execute_placed(topn_query(8), Placement.SMART)
         assert limited.row_count == 8
         # The full scan ships every tuple; the top-N scan ships one frame.
         assert (limited.io.bytes_over_interface
@@ -156,10 +156,10 @@ class TestInterfaceTraffic:
         assert limited.counters.topn_candidates >= 8
 
     def test_interface_bytes_independent_of_table_size(self):
-        small = make_db(make_rows(n=2000)).execute(
-            topn_query(5), placement="smart")
-        large = make_db(make_rows(n=16000)).execute(
-            topn_query(5), placement="smart")
+        small = make_db(make_rows(n=2000)).execute_placed(
+            topn_query(5), Placement.SMART)
+        large = make_db(make_rows(n=16000)).execute_placed(
+            topn_query(5), Placement.SMART)
         # Result traffic is k tuples either way; only control-plane frames
         # (one GET cycle per pipeline window) may differ.
         assert large.io.bytes_over_interface < (
@@ -170,9 +170,9 @@ class TestVirtualTimeInvariance:
     def test_host_path_ignores_statistics(self):
         rows = make_rows()
         query = topn_query(11, predicate=Compare(Col("v"), "<", Const(9)))
-        with_stats = make_db(rows).execute(query, placement="host")
-        without = make_db(rows, stats_config=None).execute(
-            query, placement="host")
+        with_stats = make_db(rows).execute_placed(query, Placement.HOST)
+        without = make_db(rows, stats_config=None).execute_placed(
+            query, Placement.HOST)
         assert with_stats.elapsed_seconds == without.elapsed_seconds
         assert_bit_identical(with_stats.rows, without.rows)
 
@@ -182,9 +182,9 @@ class TestVirtualTimeInvariance:
         rows = make_rows()
         query = Query(table="t",
                       select=(("k", Col("k")), ("v", Col("v"))))
-        with_stats = make_db(rows).execute(query, placement="smart")
-        without = make_db(rows, stats_config=None).execute(
-            query, placement="smart")
+        with_stats = make_db(rows).execute_placed(query, Placement.SMART)
+        without = make_db(rows, stats_config=None).execute_placed(
+            query, Placement.SMART)
         assert with_stats.elapsed_seconds == without.elapsed_seconds
         assert with_stats.counters.pages_skipped == 0
         assert with_stats.counters.zone_map_checks == 0
@@ -201,8 +201,8 @@ class TestSkippingAccounting:
         query = Query(table="t",
                       predicate=Compare(Col("v"), "<", Const(1500)),
                       select=(("k", Col("k")), ("v", Col("v"))))
-        smart = db.execute(query, placement="smart")
-        host = db.execute(query, placement="host")
+        smart = db.execute_placed(query, Placement.SMART)
+        host = db.execute_placed(query, Placement.HOST)
         assert_bit_identical(smart.rows, host.rows)
         assert smart.counters.pages_skipped > 0
         assert smart.io.pages_read_device == (
@@ -218,8 +218,8 @@ class TestSkippingAccounting:
                       predicate=Compare(Col("v"), "<", Const(2000)),
                       select=(("k", Col("k")), ("v", Col("v"))),
                       order_by="v", descending=True, limit=6)
-        smart = db.execute(query, placement="smart")
-        host = db.execute(query, placement="host")
+        smart = db.execute_placed(query, Placement.SMART)
+        host = db.execute_placed(query, Placement.HOST)
         assert_bit_identical(smart.rows, host.rows)
         assert smart.counters.pages_skipped > 0
         assert smart.row_count == 6

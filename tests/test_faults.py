@@ -13,14 +13,17 @@ is also replayed twice from scratch and must produce identical results,
 identical virtual elapsed times, and an identical fault audit log.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, Query
+import repro
+from repro.engine import AggSpec, Col, Compare, Const, Placement, Query
 from repro.errors import (
-    ArrayMemberError,
     DeviceTimeoutError,
     ProgramCrashError,
+    ShardUnavailable,
     UncorrectableMediaError,
 )
 from repro.faults import (
@@ -37,7 +40,7 @@ from repro.faults import (
 from repro.host.db import Database
 from repro.host.executor import smart_query_process
 from repro.sim import Simulator, Tracer
-from repro.smart.array import SmartSsdArray
+from repro.smart.device import SmartSsdSpec
 from repro.storage import Column, Int32Type, Layout, Schema
 
 ROWS = 20_000
@@ -153,7 +156,7 @@ class TestNandRead:
         plan = FaultPlan(seed=3)
         plan.add(SITE_NAND_READ, limit=2, retries=2)
         db, array = make_db(plan)
-        report = db.execute(sum_query(), placement="host")
+        report = db.execute_placed(sum_query(), Placement.HOST)
         assert report.rows[0]["s"] == expected_sum(array)
         assert report.counters.ecc_retries == 4  # 2 pages x 2 rounds
         assert plan.fired_count(SITE_NAND_READ) == 2
@@ -163,7 +166,7 @@ class TestNandRead:
         plan.add(SITE_NAND_READ, limit=1, retries=16)  # > ecc_retry_limit
         db, __ = make_db(plan)
         with pytest.raises(UncorrectableMediaError, match="ECC"):
-            db.execute(sum_query(), placement="host")
+            db.execute_placed(sum_query(), Placement.HOST)
         assert db.device("smart-ssd").controller.ecc_uncorrectable == 1
 
 
@@ -204,7 +207,7 @@ class TestUncleanShutdown:
         assert device.ftl.stats.recoveries == 1
         assert db.sim.tracer.marks("ftl-recovery")
         # The query still computes the exact answer from recovered mappings.
-        report = db.execute(sum_query(), placement="smart")
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows[0]["s"] == expected_sum(array)
 
     def test_clean_cycle_is_noop(self):
@@ -222,7 +225,7 @@ class TestSessionCrash:
         plan = FaultPlan(seed=1)
         plan.add(SITE_SESSION_CRASH, limit=1)
         db, array = make_db(plan)
-        report = db.execute(sum_query(), placement="smart")
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows[0]["s"] == expected_sum(array)
         assert report.counters.device_program_crashes == 1
         assert report.counters.session_retries == 1
@@ -235,7 +238,7 @@ class TestSessionCrash:
         plan.add(SITE_SESSION_CRASH)  # unlimited: every attempt dies
         db, array = make_db(plan)
         db.sim.tracer = Tracer()
-        report = db.execute(sum_query(), placement="smart")
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows[0]["s"] == expected_sum(array)
         assert report.counters.device_program_crashes == 2
         assert report.counters.session_retries == 1
@@ -259,7 +262,8 @@ class TestSessionCrash:
         db, __ = make_db(plan)
         from repro.host.optimizer import choose_placement
         for __run in range(2):
-            db.execute(sum_query(), placement="smart")  # falls back each run
+            # Falls back each run.
+            db.execute_placed(sum_query(), Placement.SMART)
         assert db.health.is_quarantined("smart-ssd")
         decision = choose_placement(db, sum_query())
         assert decision.placement == "host"
@@ -276,8 +280,8 @@ class TestGetTimeout:
         plan.add(SITE_GET_TIMEOUT, limit=1)
         db, array = make_db(plan)
         baseline, __ = make_db()
-        clean = baseline.execute(sum_query(), placement="smart")
-        report = db.execute(sum_query(), placement="smart")
+        clean = baseline.execute_placed(sum_query(), Placement.SMART)
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows == clean.rows
         assert report.counters.get_timeouts == 1
         assert report.counters.pushdown_fallbacks == 0
@@ -288,7 +292,7 @@ class TestGetTimeout:
         plan = FaultPlan(seed=9)
         plan.add(SITE_GET_TIMEOUT)  # every reply lost, forever
         db, array = make_db(plan)
-        report = db.execute(sum_query(), placement="smart")
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows[0]["s"] == expected_sum(array)
         assert report.counters.pushdown_fallbacks == 1
         # attempts x (1 initial GET + max_get_retries) replies lost
@@ -307,7 +311,7 @@ class TestDeadAndSlow:
         # Pushdown retries, then the host fallback's block reads also time
         # out: the device is gone and the typed error says so.
         with pytest.raises(DeviceTimeoutError, match="no reply"):
-            db.execute(sum_query(), placement="smart")
+            db.execute_placed(sum_query(), Placement.SMART)
 
     def test_slow_device_is_observable_not_fatal(self):
         delay = 0.05
@@ -315,58 +319,73 @@ class TestDeadAndSlow:
         plan.add(SITE_DEVICE_SLOW, match={"command": "open"}, delay=delay)
         db, array = make_db(plan)
         baseline, __ = make_db()
-        clean = baseline.execute(sum_query(), placement="smart")
-        report = db.execute(sum_query(), placement="smart")
+        clean = baseline.execute_placed(sum_query(), Placement.SMART)
+        report = db.execute_placed(sum_query(), Placement.SMART)
         assert report.rows == clean.rows
         assert report.elapsed_seconds >= clean.elapsed_seconds + delay
 
 
 # ---------------------------------------------------------------------------
-# Smart SSD array: degraded members
+# Sharded fleet: degraded members
 # ---------------------------------------------------------------------------
 
 class TestArrayDegradation:
-    def _load(self, sim, devices=3):
-        array = SmartSsdArray(sim, devices)
-        data = rows_array()
-        array.load_partitioned("t", schema(), Layout.PAX, data)
-        return array, data
+    """One member of a 3-shard round-robin table misbehaves."""
+
+    DEVICES = tuple(f"smart-ssd-{i}" for i in range(3))
+
+    def _session(self, plan=None):
+        session = repro.connect()
+        if plan is not None:
+            session.db.install_fault_plan(plan)
+        for name in self.DEVICES:
+            session.db.create_smart_ssd(SmartSsdSpec(name=name))
+        session.create_sharded_table("t", schema(), Layout.PAX,
+                                     rows_array(), self.DEVICES)
+        return session
+
+    def _run(self, session):
+        session.submit(sum_query(), tenant="fleet")
+        (report,) = session.gather()
+        return report
 
     def test_worker_crash_degrades_to_coordinator_scan(self):
         plan = FaultPlan(seed=4)
         plan.add(SITE_SESSION_CRASH, match={"device": "smart-ssd-1"})
-        sim = Simulator()
-        sim.faults = plan
-        array, data = self._load(sim)
-        result = array.execute(sum_query())
-        assert result.rows[0]["s"] == expected_sum(data)
-        assert result.degraded == ("smart-ssd-1",)
-        assert result.counters.pushdown_fallbacks == 1
-        assert result.counters.session_retries == 1
+        report = self._run(self._session(plan))
+        assert report.rows[0]["s"] == expected_sum(rows_array())
+        assert report.counters.pushdown_fallbacks == 1
+        assert report.counters.session_retries == 1
 
     def test_dead_member_hard_fails(self):
         plan = FaultPlan(seed=4)
         plan.add(SITE_DEVICE_DEAD, match={"device": "smart-ssd-2"})
-        sim = Simulator()
-        sim.faults = plan
-        array, __ = self._load(sim)
-        with pytest.raises(ArrayMemberError, match="unreachable"):
-            array.execute(sum_query())
+        session = self._session(plan)
+        session.create_table("u", schema(), Layout.PAX, rows_array(),
+                             "smart-ssd-0")
+        session.submit(sum_query(), tenant="fleet")
+        with pytest.raises(ShardUnavailable,
+                           match=r"'t#2'.*'smart-ssd-2'") as failure:
+            session.gather()
+        assert isinstance(failure.value.__cause__, DeviceTimeoutError)
+        assert session.frontend.pending_count == 0
+        assert not session.frontend.scheduler.submissions
+        for name in self.DEVICES:
+            assert session.db.device(name).runtime.open_session_count == 0
+        # The session keeps serving what the live devices hold.
+        session.submit(replace(sum_query(), table="u"), tenant="fleet")
+        (report,) = session.gather()
+        assert report.rows[0]["s"] == expected_sum(rows_array())
 
     def test_slow_member_stretches_but_completes(self):
         plan = FaultPlan(seed=4)
         plan.add(SITE_DEVICE_SLOW, match={"device": "smart-ssd-0"},
                  delay=0.02)
-        sim = Simulator()
-        sim.faults = plan
-        array, data = self._load(sim)
-        clean_sim = Simulator()
-        clean_array, __ = self._load(clean_sim)
-        clean = clean_array.execute(sum_query())
-        result = array.execute(sum_query())
-        assert result.rows == clean.rows
-        assert result.degraded == ()
-        assert result.elapsed_seconds >= clean.elapsed_seconds + 0.02
+        clean = self._run(self._session())
+        report = self._run(self._session(plan))
+        assert report.rows == clean.rows
+        assert report.counters.pushdown_fallbacks == 0
+        assert report.elapsed_seconds >= clean.elapsed_seconds + 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +407,7 @@ class TestQ6UnderFaults:
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX)
         db.install_fault_plan(plan)
         db.sim.tracer = Tracer()
-        report = db.execute(q6_query(), placement="smart")
+        report = db.execute_placed(q6_query(), Placement.SMART)
 
         expected = run_reference(q6_query(),
                                  {"lineitem": lineitem_schema()},
@@ -412,7 +431,7 @@ def _seeded_run(seed):
     plan.add(SITE_GET_TIMEOUT, probability=0.3)
     plan.add(SITE_NAND_READ, probability=0.001, retries=2)
     db, __ = make_db(plan)
-    report = db.execute(sum_query(), placement="smart")
+    report = db.execute_placed(sum_query(), Placement.SMART)
     log = [(e.site, e.rule_index, e.hit, e.time) for e in plan.events]
     return report, log
 
@@ -434,7 +453,7 @@ class TestDeterminism:
             # coincide with probability ~0.58^40.
             plan.add(SITE_NAND_READ, probability=0.3, retries=1)
             db, __ = make_db(plan)
-            db.execute(sum_query(), placement="host")
+            db.execute_placed(sum_query(), Placement.HOST)
             return [(e.site, e.rule_index, e.hit) for e in plan.events]
 
         assert read_fault_log(0) != read_fault_log(1)
@@ -442,8 +461,8 @@ class TestDeterminism:
     def test_empty_plan_is_bit_identical_to_no_plan(self):
         db_plain, __ = make_db()
         db_empty, __ = make_db(FaultPlan(seed=0))
-        plain = db_plain.execute(sum_query(), placement="smart")
-        empty = db_empty.execute(sum_query(), placement="smart")
+        plain = db_plain.execute_placed(sum_query(), Placement.SMART)
+        empty = db_empty.execute_placed(sum_query(), Placement.SMART)
         assert plain.rows == empty.rows
         assert plain.elapsed_seconds == empty.elapsed_seconds
         assert plain.counters == empty.counters

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import AggSpec, Col, Compare, Const, Query, run_reference
+from repro.engine.plans import Placement
 from repro.faults import SITE_SESSION_CRASH, FaultPlan
 from repro.host.db import Database
 from repro.storage import Column, Int32Type, Layout, Schema
@@ -93,7 +94,7 @@ class TestGoldenGrid:
         array = rows_array()
         cut = SELECTIVITY_CUTS[label]
         db = make_db(layout, array)
-        report = db.execute(select_query(cut), placement="smart")
+        report = db.execute_placed(select_query(cut), Placement.SMART)
         reference = run_reference(select_query(cut), {"t": schema()},
                                   {"t": array})
         assert_select_exact(report.rows, reference)
@@ -102,7 +103,7 @@ class TestGoldenGrid:
         array = rows_array()
         cut = SELECTIVITY_CUTS[label]
         db = make_db(layout, array)
-        report = db.execute(agg_query(cut), placement="smart")
+        report = db.execute_placed(agg_query(cut), Placement.SMART)
         reference = run_reference(agg_query(cut), {"t": schema()},
                                   {"t": array})
         assert_agg_exact(report.rows, reference)
@@ -111,7 +112,7 @@ class TestGoldenGrid:
         array = rows_array()
         cut = SELECTIVITY_CUTS[label]
         db = make_db(layout, array, plan=crash_plan())
-        report = db.execute(select_query(cut), placement="smart")
+        report = db.execute_placed(select_query(cut), Placement.SMART)
         assert report.counters.pushdown_fallbacks == 1
         reference = run_reference(select_query(cut), {"t": schema()},
                                   {"t": array})
@@ -121,7 +122,7 @@ class TestGoldenGrid:
         array = rows_array()
         cut = SELECTIVITY_CUTS[label]
         db = make_db(layout, array, plan=crash_plan())
-        report = db.execute(agg_query(cut), placement="smart")
+        report = db.execute_placed(agg_query(cut), Placement.SMART)
         assert report.counters.pushdown_fallbacks == 1
         reference = run_reference(agg_query(cut), {"t": schema()},
                                   {"t": array})
@@ -136,9 +137,9 @@ class TestFallbackEquivalence:
     def test_degraded_equals_clean(self, layout):
         array = rows_array()
         query = select_query(SELECTIVITY_CUTS["50%"])
-        clean = make_db(layout, array).execute(query, placement="smart")
+        clean = make_db(layout, array).execute_placed(query, Placement.SMART)
         degraded_db = make_db(layout, array, plan=crash_plan())
-        degraded = degraded_db.execute(query, placement="smart")
+        degraded = degraded_db.execute_placed(query, Placement.SMART)
         assert np.array_equal(clean.rows, degraded.rows)
         # Whether degradation costs time depends on the regime (at this
         # scale the host path can even win); what's guaranteed is that the

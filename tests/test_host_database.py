@@ -1,9 +1,14 @@
 """Tests for the Database facade surfaces."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Query
+import repro.host
+from repro.api import Session
+from repro.engine import AggSpec, Col, Placement, Query
 from repro.errors import CatalogError, PlanError
 from repro.flash.hdd import HddSpec
 from repro.flash.ssd import SsdSpec
@@ -15,6 +20,25 @@ from repro.storage import Column, Int32Type, Layout, Schema
 @pytest.fixture
 def schema():
     return Schema([Column("a", Int32Type()), Column("b", Int32Type())])
+
+
+def test_host_layer_does_not_import_device_programs():
+    """Layering: the host drives a Smart SSD through the session protocol;
+    the code uploaded into the device is not its business."""
+    offenders = []
+    for path in Path(repro.host.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names]
+            else:
+                continue
+            offenders += [(path.name, module) for module in modules
+                          if module.startswith(("repro.smart.programs",
+                                                "repro.smart.array"))]
+    assert offenders == []
 
 
 class TestDeviceManagement:
@@ -57,21 +81,21 @@ class TestExecutionSurfaces:
         query = Query(table="ghost",
                       aggregates=(AggSpec("count", None, "n"),))
         with pytest.raises(CatalogError):
-            db.execute(query)
+            db.execute_placed(query)
 
     def test_clock_advances_across_queries(self, schema):
         db = self.make_db(schema)
         query = Query(table="t", aggregates=(AggSpec("count", None, "n"),))
-        db.execute(query, placement="smart")
+        db.execute_placed(query, Placement.SMART)
         t1 = db.sim.now
-        db.execute(query, placement="smart")
+        db.execute_placed(query, Placement.SMART)
         assert db.sim.now > t1
 
     def test_reports_are_per_query_not_cumulative(self, schema):
         db = self.make_db(schema)
         query = Query(table="t", aggregates=(AggSpec("count", None, "n"),))
-        first = db.execute(query, placement="smart")
-        second = db.execute(query, placement="smart")
+        first = db.execute_placed(query, Placement.SMART)
+        second = db.execute_placed(query, Placement.SMART)
         # Same work => same per-run accounting despite the advancing clock.
         assert second.elapsed_seconds == pytest.approx(
             first.elapsed_seconds, rel=0.05)
@@ -80,8 +104,8 @@ class TestExecutionSurfaces:
 
     def test_sql_kwargs_forwarded(self, schema):
         db = self.make_db(schema)
-        report = db.sql("SELECT COUNT(*) AS n FROM t", placement="smart",
-                        io_unit_pages=8)
+        report = Session(db).execute("SELECT COUNT(*) AS n FROM t",
+                                     Placement.SMART, io_unit_pages=8)
         assert report.rows[0]["n"] == 1000
         assert report.counters.io_units >= 1
 
@@ -95,7 +119,7 @@ class TestExecutionSurfaces:
         db = self.make_db(schema)
         db.create_hdd(HddSpec())  # idle bystander
         query = Query(table="t", aggregates=(AggSpec("count", None, "n"),))
-        report = db.execute(query, placement="smart")
+        report = db.execute_placed(query, Placement.SMART)
         assert set(report.energy.device_j) == {"smart-ssd", "sas-hdd"}
         # The idle HDD contributes only idle power.
         elapsed = report.energy.elapsed_seconds

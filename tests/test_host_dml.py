@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, Mul, Query
+from repro.engine import AggSpec, Col, Compare, Const, Mul, Placement, Query
 from repro.errors import PlanError
 from repro.host.db import Database
 from repro.storage import Column, Int32Type, Layout, Schema
@@ -35,19 +35,19 @@ class TestUpdate:
         changed = db.update_rows("t", Compare(Col("k"), "<", Const(10)),
                                  {"v": 777})
         assert changed == 10
-        report = db.execute(Query(
+        report = db.execute_placed(Query(
             table="t", predicate=Compare(Col("v"), "==", Const(777)),
-            aggregates=(AggSpec("count", None, "n"),)), placement="host")
+            aggregates=(AggSpec("count", None, "n"),)), Placement.HOST)
         assert report.rows[0]["n"] == 10
 
     def test_expression_assignment_sees_pre_update_values(self, schema,
                                                           layout):
         db = make_db(schema, n=100, layout=layout)
-        before = db.execute(sum_query(), placement="host").rows[0]["s"]
+        before = db.execute_placed(sum_query(), Placement.HOST).rows[0]["s"]
         changed = db.update_rows("t", None,
                                  {"v": Mul(Col("v"), Const(2))})
         assert changed == 100
-        after = db.execute(sum_query(), placement="host").rows[0]["s"]
+        after = db.execute_placed(sum_query(), Placement.HOST).rows[0]["s"]
         assert after == 2 * before
 
     def test_update_without_predicate_touches_everything(self, schema,
@@ -74,20 +74,20 @@ class TestPushdownCoherence:
     def test_lifecycle(self, schema):
         db = make_db(schema)
         query = sum_query()
-        clean = db.execute(query, placement="smart").rows[0]["s"]
+        clean = db.execute_placed(query, Placement.SMART).rows[0]["s"]
 
         db.update_rows("t", Compare(Col("k"), "<", Const(100)), {"v": 0})
         # Dirty pages: pushdown must refuse (the device copy is stale).
         with pytest.raises(PlanError, match="dirty"):
-            db.execute(query, placement="smart")
+            db.execute_placed(query, Placement.SMART)
         # The host path reads through the buffer pool and sees the update.
-        host_after = db.execute(query, placement="host").rows[0]["s"]
+        host_after = db.execute_placed(query, Placement.HOST).rows[0]["s"]
         assert host_after < clean
 
         flushed = db.flush_table("t")
         assert flushed > 0
         # Now the device is current: pushdown works and agrees.
-        smart_after = db.execute(query, placement="smart").rows[0]["s"]
+        smart_after = db.execute_placed(query, Placement.SMART).rows[0]["s"]
         assert smart_after == host_after
 
     def test_optimizer_respects_veto_and_flush(self, schema):
@@ -121,5 +121,5 @@ class TestPushdownCoherence:
         for value in (1, 2, 3, 4, 5):
             db.update_rows("t", None, {"v": value})
             db.flush_table("t")
-            report = db.execute(query, placement="smart")
+            report = db.execute_placed(query, Placement.SMART)
             assert report.rows[0]["s"] == 2000 * value

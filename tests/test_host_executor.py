@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.engine import AggSpec, Col, Compare, Const, JoinSpec, Query
+from repro.engine.plans import Placement
 from repro.errors import PlanError, ProtocolError
 from repro.host.db import Database
+from repro.sched import SchedulerConfig
 from repro.storage import Column, Int32Type, Layout, Schema
 
 
@@ -39,12 +42,12 @@ class TestPlacementRules:
     def test_smart_on_plain_ssd_rejected(self, schema):
         db = make_db(schema, device="ssd")
         with pytest.raises(PlanError, match="not a Smart SSD"):
-            db.execute(count_query(), placement="smart")
+            db.execute_placed(count_query(), Placement.SMART)
 
     def test_unknown_placement_rejected(self, schema):
         db = make_db(schema)
         with pytest.raises(PlanError):
-            db.execute(count_query(), placement="quantum")
+            db.execute_placed(count_query(), placement="quantum")
 
     def test_dirty_page_vetoes_pushdown(self, schema):
         db = make_db(schema)
@@ -54,17 +57,17 @@ class TestPlacementRules:
                               db.device("smart-ssd").read_page_direct(lpn),
                               dirty=True)
         with pytest.raises(PlanError, match="dirty"):
-            db.execute(count_query(), placement="smart")
+            db.execute_placed(count_query(), Placement.SMART)
         # The conventional path still works.
-        report = db.execute(count_query(), placement="host")
+        report = db.execute_placed(count_query(), Placement.HOST)
         assert report.rows[0]["n"] == 5000
 
 
 class TestBufferPoolInteraction:
     def test_second_host_run_hits_cache(self, schema):
         db = make_db(schema)
-        cold = db.execute(count_query(), placement="host")
-        warm = db.execute(count_query(), placement="host")
+        cold = db.execute_placed(count_query(), Placement.HOST)
+        warm = db.execute_placed(count_query(), Placement.HOST)
         assert cold.io.buffer_pool_hits == 0
         assert warm.io.buffer_pool_misses == 0
         assert warm.io.buffer_pool_hits == cold.io.buffer_pool_misses
@@ -74,16 +77,17 @@ class TestBufferPoolInteraction:
 
     def test_smart_run_does_not_populate_cache(self, schema):
         db = make_db(schema)
-        db.execute(count_query(), placement="smart")
+        db.execute_placed(count_query(), Placement.SMART)
         assert len(db.buffer_pool) == 0
 
 
 class TestIoUnitAndWindow:
     def test_custom_io_unit_pages(self, schema):
         db = make_db(schema, n=120_000)  # ~119 pages: many I/O units
-        a = db.execute(count_query(), placement="smart", io_unit_pages=8)
+        a = db.execute_placed(count_query(), Placement.SMART, io_unit_pages=8)
         db2 = make_db(schema, n=120_000)
-        b = db2.execute(count_query(), placement="smart", io_unit_pages=32)
+        b = db2.execute_placed(count_query(), Placement.SMART,
+                               io_unit_pages=32)
         assert a.rows == b.rows
         # Smaller units submit more commands (the per-command firmware
         # overhead this charges dominates at paper scale — benchmark A3
@@ -93,39 +97,44 @@ class TestIoUnitAndWindow:
 
     def test_window_one_still_correct(self, schema):
         db = make_db(schema)
-        report = db.execute(count_query(), placement="smart", window=1)
+        report = db.execute_placed(count_query(), Placement.SMART, window=1)
         assert report.rows[0]["n"] == 5000
 
 
 class TestConcurrentExecution:
+    """Batches through the session's scheduler, scan sharing off so every
+    query runs (and contends with) its own device scan."""
+
+    def run_batch(self, db, runs):
+        session = Session(db, SchedulerConfig(share_scans=False))
+        return session.execute_concurrent(runs)
+
     def test_results_all_correct(self, schema):
-        db = make_db(schema)
-        reports = db.execute_concurrent([(count_query(), "smart")] * 3)
+        reports = self.run_batch(make_db(schema),
+                                 [(count_query(), Placement.SMART)] * 3)
         assert len(reports) == 3
         for report in reports:
             assert report.rows[0]["n"] == 5000
 
     def test_mixed_placements(self, schema):
-        db = make_db(schema)
-        reports = db.execute_concurrent([
-            (count_query(), "smart"),
-            (count_query(), "host"),
+        reports = self.run_batch(make_db(schema), [
+            (count_query(), Placement.SMART),
+            (count_query(), Placement.HOST),
         ])
         assert reports[0].rows == reports[1].rows
 
     def test_contention_stretches_window(self, schema):
-        db = make_db(schema)
-        solo = db.execute(count_query(), placement="smart")
-        db2 = make_db(schema)
-        batch = db2.execute_concurrent([(count_query(), "smart")] * 3)
+        solo = make_db(schema).execute_placed(count_query(), Placement.SMART)
+        batch = self.run_batch(make_db(schema),
+                               [(count_query(), Placement.SMART)] * 3)
         window = max(r.elapsed_seconds for r in batch)
         assert window > solo.elapsed_seconds
         # ...but sharing beats running them back to back.
         assert window < 3 * solo.elapsed_seconds
 
     def test_energy_attached_to_batch(self, schema):
-        db = make_db(schema)
-        reports = db.execute_concurrent([(count_query(), "smart")] * 2)
+        reports = self.run_batch(make_db(schema),
+                                 [(count_query(), Placement.SMART)] * 2)
         assert reports[0].energy is not None
         assert reports[0].energy.entire_system_j > 0
 
@@ -137,7 +146,7 @@ class TestEmptyAndEdgeQueries:
         db.create_table("t", schema, Layout.PAX, schema.empty_array(),
                         "smart-ssd")
         for placement in ("host", "smart"):
-            report = db.execute(count_query(), placement=placement)
+            report = db.execute_placed(count_query(), placement)
             assert report.rows[0]["n"] == 0
 
     def test_select_with_no_matches(self, schema):
@@ -146,7 +155,7 @@ class TestEmptyAndEdgeQueries:
                       predicate=Compare(Col("v"), ">", Const(1_000_000)),
                       select=(("k", Col("k")),))
         for placement in ("host", "smart"):
-            report = db.execute(query, placement=placement)
+            report = db.execute_placed(query, placement)
             assert len(report.rows) == 0
 
     def test_join_tables_must_share_device(self, schema):
@@ -163,7 +172,7 @@ class TestEmptyAndEdgeQueries:
             select=(("v", Col("v")),),
         )
         with pytest.raises(PlanError, match="same device"):
-            db.execute(query, placement="smart")
+            db.execute_placed(query, Placement.SMART)
 
     def test_oversized_hash_table_fails_cleanly(self, schema):
         """A build side that exceeds device DRAM surfaces as a protocol
@@ -192,7 +201,7 @@ class TestEmptyAndEdgeQueries:
             select=(("v", Col("v")),),
         )
         with pytest.raises(ProtocolError, match="DRAM"):
-            db.execute(query, placement="smart")
+            db.execute_placed(query, Placement.SMART)
         # The same join is fine on the host.
-        report = db.execute(query, placement="host")
+        report = db.execute_placed(query, Placement.HOST)
         assert len(report.rows) == 100

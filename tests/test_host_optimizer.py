@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, Query
+from repro.engine import AggSpec, Col, Compare, Const, Placement, Query
 from repro.host.db import Database
 from repro.host.optimizer import (
     choose_placement,
@@ -109,12 +109,12 @@ class TestDecisions:
         query = wide_agg_query()
         cold = choose_placement(wide_db, query)
         assert cold.placement == "smart"
-        wide_db.execute(query, placement="host")  # warms the buffer pool
+        wide_db.execute_placed(query, Placement.HOST)  # warms the buffer pool
         hot = choose_placement(wide_db, query)
         assert hot.placement == "host"
 
     def test_auto_placement_runs(self, wide_db):
-        report = wide_db.execute(wide_agg_query(), placement="auto")
+        report = wide_db.execute_placed(wide_agg_query(), Placement.AUTO)
         assert report.placement == "smart"
         assert report.rows[0]["s"] >= 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.runners import DeviceKind, make_tpch_db
+from repro.engine import Placement
 from repro.storage import Layout
 from repro.workloads import q6_query
 
@@ -15,7 +16,7 @@ def reports():
             ("host", DeviceKind.SSD, Layout.NSM),
             ("smart", DeviceKind.SMART, Layout.PAX)):
         db = make_tpch_db(device, layout, 0.005)
-        out[placement] = db.execute(q6_query(), placement=placement)
+        out[placement] = db.execute_placed(q6_query(), placement)
     return out
 
 
@@ -47,6 +48,6 @@ class TestUtilization:
 
     def test_hdd_reports_without_dram_bus(self):
         db = make_tpch_db(DeviceKind.HDD, Layout.NSM, 0.002)
-        report = db.execute(q6_query(), placement="host")
+        report = db.execute_placed(q6_query(), Placement.HOST)
         assert "dram-bus" not in report.utilization
         assert report.utilization["interface"] > 0.9

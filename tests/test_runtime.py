@@ -20,7 +20,7 @@ from repro.runtime import (
     resolve_backend,
     world_fingerprint,
 )
-from repro.smart.array import lane_partition
+from repro.runtime.lanes import lane_partition
 from repro.serve import Frontend
 from repro.smart.device import SmartSsdSpec
 from repro.storage import Column, Int32Type, Schema

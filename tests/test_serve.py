@@ -15,17 +15,17 @@ from repro.errors import (
     ServingError,
     ShardUnavailable,
 )
-from repro.host.catalog import shard_table_name
+from repro.host.catalog import (
+    hash_shard_indices,
+    range_shard_indices,
+    round_robin_indices,
+    shard_table_name,
+)
 from repro.host.db import Database
 from repro.host.planner import _shard_might_match, plan_scatter
 from repro.sched.qos import TokenBucket
 from repro.serve import Frontend
 from repro.serve.cache import MISS, ResultCache, cache_key
-from repro.smart.array import (
-    hash_shard_indices,
-    range_shard_indices,
-    round_robin_indices,
-)
 from repro.smart.device import SmartSsdSpec
 from repro.storage import Column, Int32Type, Schema
 from repro.workloads.tpch import (

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import Placement
 from repro.sim import Resource, Simulator, Tracer, seize
 from repro.sim.trace import LevelChange
 
@@ -89,7 +90,7 @@ class TestIntegration:
 
         db = make_tpch_db(DeviceKind.SMART, Layout.PAX, 0.005)
         db.sim.tracer = Tracer()
-        db.execute(q6_query(), placement="smart")
+        db.execute_placed(q6_query(), Placement.SMART)
         names = db.sim.tracer.resources()
         assert any("smart-ssd-cpu" in name for name in names)
         assert any("device-dram-bus" in name for name in names)

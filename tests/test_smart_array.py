@@ -1,14 +1,25 @@
-"""Unit tests for the multi-Smart-SSD array (paper §4.3 endpoint)."""
+"""The multi-Smart-SSD array (paper §4.3 endpoint) on the sharded catalog.
+
+An "array" is a round-robin sharded table over N Smart SSDs (dimension
+tables replicated), queried through the session's scatter/gather path.
+"""
 
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, JoinSpec, Query
-from repro.engine import run_reference
-from repro.errors import PlanError
-from repro.sim import Simulator
-from repro.smart.array import SmartSsdArray
-from repro.storage import Column, Int32Type, Layout, Schema
+import repro
+from repro import Layout, Placement, ShardSpec, SmartSsdSpec
+from repro.engine import AggSpec, Col, Compare, Const, Query, run_reference
+from repro.errors import CatalogError, PlanError
+from repro.storage import Column, Int32Type, Schema
+from repro.workloads import (
+    generate_lineitem,
+    generate_part,
+    lineitem_schema,
+    part_schema,
+    q6_query,
+    q14_query,
+)
 
 
 @pytest.fixture
@@ -24,32 +35,55 @@ def make_rows(schema, n=1000):
     return rows
 
 
+def make_array(device_count, tables):
+    """A session over ``device_count`` Smart SSDs; ``tables`` maps a name
+    to ``(schema, rows, ShardSpec)``."""
+    session = repro.connect()
+    names = [f"smart-ssd-{i}" for i in range(device_count)]
+    for name in names:
+        session.db.create_smart_ssd(SmartSsdSpec(name=name))
+    for table, (schema, rows, spec) in tables.items():
+        session.create_sharded_table(table, schema, Layout.PAX, rows, names,
+                                     spec=spec)
+    return session
+
+
+def run(session, query):
+    session.submit(query, tenant="array")
+    (report,) = session.gather()
+    return report
+
+
+ROUND_ROBIN = ShardSpec(kind="round_robin")
+REPLICATED = ShardSpec(kind="replicated")
+
+
 class TestPartitioning:
     def test_round_robin_covers_all_rows(self, schema):
-        sim = Simulator()
-        array = SmartSsdArray(sim, 4)
         rows = make_rows(schema)
-        table = array.load_partitioned("t", schema, Layout.PAX, rows)
+        session = make_array(4, {"t": (schema, rows, ROUND_ROBIN)})
+        table = session.db.catalog.sharded("t")
         assert table.tuple_count == len(rows)
-        assert len(table.heaps) == 4
-        counts = [heap.tuple_count for heap in table.heaps]
+        counts = [shard.tuple_count for shard in table.shards]
+        assert len(counts) == 4
         assert max(counts) - min(counts) <= 1
 
     def test_replication_copies_everywhere(self, schema):
-        sim = Simulator()
-        array = SmartSsdArray(sim, 3)
         rows = make_rows(schema, 100)
-        table = array.load_replicated("t", schema, Layout.PAX, rows)
-        assert all(heap.tuple_count == 100 for heap in table.heaps)
+        session = make_array(3, {"t": (schema, rows, REPLICATED)})
+        table = session.db.catalog.sharded("t")
+        assert [shard.tuple_count for shard in table.shards] == [100] * 3
+        assert table.tuple_count == 100
 
-    def test_zero_devices_rejected(self):
-        with pytest.raises(PlanError):
-            SmartSsdArray(Simulator(), 0)
+    def test_zero_devices_rejected(self, schema):
+        with pytest.raises(PlanError, match="at least one device"):
+            make_array(0, {"t": (schema, make_rows(schema), ROUND_ROBIN)})
 
     def test_unknown_table_rejected(self, schema):
-        array = SmartSsdArray(Simulator(), 2)
-        with pytest.raises(PlanError):
-            array.table("nope")
+        session = make_array(2, {})
+        with pytest.raises(CatalogError, match="nope"):
+            session.submit(Query(table="nope", select=(("k", Col("k")),)),
+                           tenant="array")
 
 
 class TestPartitionedExecution:
@@ -61,66 +95,71 @@ class TestPartitionedExecution:
                                   AggSpec("count", None, "n")))
         expected = run_reference(query, {"t": schema}, {"t": rows})
         for devices in (1, 2, 4):
-            sim = Simulator()
-            array = SmartSsdArray(sim, devices)
-            array.load_partitioned("t", schema, Layout.PAX, rows)
-            result = array.execute(query)
-            assert result.rows[0]["s"] == expected["s"]
-            assert result.rows[0]["n"] == expected["n"]
-            assert result.device_count == devices
+            session = make_array(devices, {"t": (schema, rows, ROUND_ROBIN)})
+            handle = session.submit(query, tenant="array")
+            session.gather()
+            assert handle.result() == [expected]
+            assert handle.fan_out == devices
 
     def test_select_returns_all_matches(self, schema):
         rows = make_rows(schema)
         query = Query(table="t",
                       predicate=Compare(Col("v"), "<", Const(10)),
                       select=(("k", Col("k")),))
-        sim = Simulator()
-        array = SmartSsdArray(sim, 3)
-        array.load_partitioned("t", schema, Layout.PAX, rows)
-        result = array.execute(query)
+        report = run(make_array(3, {"t": (schema, rows, ROUND_ROBIN)}), query)
         expected = sorted(rows["k"][rows["v"] < 10].tolist())
-        assert sorted(result.rows["k"].tolist()) == expected
+        assert sorted(report.rows["k"].tolist()) == expected
 
-    def test_join_with_replicated_build_side(self, schema):
-        dim_schema = Schema([Column("pk", Int32Type()),
-                             Column("label", Int32Type())])
-        fact = make_rows(schema)
-        fact["k"] = fact["k"] % 7  # fk into the dimension
-        dim = dim_schema.rows_to_array([(i, 700 + i) for i in range(7)])
-        query = Query(
-            table="t",
-            join=JoinSpec(build_table="d", build_key="pk",
-                          probe_key="k", payload=("label",)),
-            aggregates=(AggSpec("sum", Col("label"), "s"),),
-        )
-        expected = run_reference(query, {"t": schema, "d": dim_schema},
-                                 {"t": fact, "d": dim})
-        sim = Simulator()
-        array = SmartSsdArray(sim, 4)
-        array.load_partitioned("t", schema, Layout.PAX, fact)
-        array.load_replicated("d", dim_schema, Layout.PAX, dim)
-        result = array.execute(query)
-        assert result.rows[0]["s"] == expected["s"]
+    def test_join_with_replicated_build_side(self):
+        """Q14: LINEITEM striped, PART replicated so every shard joins
+        locally; any width gives the reference answer."""
+        lineitem, part = generate_lineitem(0.002), generate_part(0.002)
+        expected = run_reference(
+            q14_query(),
+            {"lineitem": lineitem_schema(), "part": part_schema()},
+            {"lineitem": lineitem, "part": part})
+        for devices in (1, 2, 4):
+            session = make_array(devices, {
+                "lineitem": (lineitem_schema(), lineitem, ROUND_ROBIN),
+                "part": (part_schema(), part, REPLICATED)})
+            assert run(session, q14_query()).rows == [expected]
 
     def test_more_devices_is_faster(self, schema):
         rows = make_rows(schema, 20_000)
         query = Query(table="t",
                       aggregates=(AggSpec("sum", Col("v"), "s"),))
-        elapsed = {}
-        for devices in (1, 4):
-            sim = Simulator()
-            array = SmartSsdArray(sim, devices)
-            array.load_partitioned("t", schema, Layout.PAX, rows)
-            elapsed[devices] = array.execute(query).elapsed_seconds
+        elapsed = {
+            devices: run(make_array(devices,
+                                    {"t": (schema, rows, ROUND_ROBIN)}),
+                         query).elapsed_seconds
+            for devices in (1, 4)}
         assert elapsed[4] < elapsed[1]
 
     def test_empty_partition_is_fine(self, schema):
-        """More devices than rows: some partitions are empty pages."""
-        rows = make_rows(schema, 3)
-        sim = Simulator()
-        array = SmartSsdArray(sim, 8)
-        array.load_partitioned("t", schema, Layout.PAX, rows)
+        """More devices than rows: three shards hold no tuple at all."""
+        rows = make_rows(schema, 5)
+        session = make_array(8, {"t": (schema, rows, ROUND_ROBIN)})
+        counts = [shard.tuple_count
+                  for shard in session.db.catalog.sharded("t").shards]
+        assert counts == [1] * 5 + [0] * 3
         query = Query(table="t",
-                      aggregates=(AggSpec("count", None, "n"),))
-        result = array.execute(query)
-        assert result.rows[0]["n"] == 3
+                      aggregates=(AggSpec("count", None, "n"),
+                                  AggSpec("sum", Col("v"), "s"),
+                                  AggSpec("min", Col("v"), "lo")))
+        expected = run_reference(query, {"t": schema}, {"t": rows})
+        assert run(session, query).rows == [expected]
+
+    def test_one_device_is_exactly_a_plain_pushdown(self):
+        """The fleet path adds nothing at width one: E2's first row is the
+        elapsed time of ``Session.execute`` on a single Smart SSD."""
+        from repro.bench.ablations import ext_multi_ssd
+
+        lineitem = generate_lineitem(0.02)
+        with repro.connect() as session:
+            session.db.create_smart_ssd(SmartSsdSpec(name="smart-ssd-0"))
+            session.create_table("lineitem", lineitem_schema(), Layout.PAX,
+                                 lineitem, "smart-ssd-0")
+            solo = session.execute(q6_query(), Placement.SMART)
+        row = ext_multi_ssd(run_scale=0.02, device_counts=(1,)).rows[0]
+        assert row[1] == solo.elapsed_seconds * 1e3
+        assert row[3] == solo.rows[0]["revenue"]

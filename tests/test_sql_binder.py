@@ -62,24 +62,29 @@ def tpch_db():
     return make_tpch_db(DeviceKind.SMART, Layout.PAX, TPCH_SCALE)
 
 
+@pytest.fixture(scope="module")
+def tpch_session(tpch_db):
+    return Session(tpch_db)
+
+
 class TestPaperQueriesViaSql:
     @pytest.mark.parametrize("placement", ["host", "smart"])
-    def test_q6_matches_builder(self, tpch_db, placement):
-        sql = tpch_db.sql(Q6_SQL, placement=placement)
-        built = tpch_db.execute(q6_query(), placement=placement)
+    def test_q6_matches_builder(self, tpch_session, placement):
+        sql = tpch_session.execute(Q6_SQL, placement)
+        built = tpch_session.execute(q6_query(), placement)
         assert sql.rows[0]["revenue"] == pytest.approx(
             built.rows[0]["revenue"])
 
     @pytest.mark.parametrize("placement", ["host", "smart"])
-    def test_q14_matches_builder(self, tpch_db, placement):
-        sql = tpch_db.sql(Q14_SQL, placement=placement)
-        built = tpch_db.execute(q14_query(), placement=placement)
+    def test_q14_matches_builder(self, tpch_session, placement):
+        sql = tpch_session.execute(Q14_SQL, placement)
+        built = tpch_session.execute(q14_query(), placement)
         assert sql.rows[0]["promo_revenue"] == pytest.approx(
             built.rows[0]["promo_revenue"])
 
-    def test_q1_style_grouping(self, tpch_db):
-        sql = tpch_db.sql(Q1_SQL, placement="smart")
-        built = tpch_db.execute(q1_query(), placement="smart")
+    def test_q1_style_grouping(self, tpch_session):
+        sql = tpch_session.execute(Q1_SQL, Placement.SMART)
+        built = tpch_session.execute(q1_query(), Placement.SMART)
         assert len(sql.rows) == len(built.rows) == 6
         sql_by_group = {(r["l_returnflag"], r["l_linestatus"]): r
                         for r in sql.rows}
@@ -91,11 +96,11 @@ class TestPaperQueriesViaSql:
             assert srow["avg_disc"] == pytest.approx(brow["avg_disc"])
             assert srow["count_order"] == brow["count_order"]
 
-    def test_between_form_of_q6(self, tpch_db):
-        between = tpch_db.sql(Q6_SQL.replace(
+    def test_between_form_of_q6(self, tpch_session):
+        between = tpch_session.execute(Q6_SQL.replace(
             "l_discount > 0.05 AND l_discount < 0.07",
             "l_discount BETWEEN 0.06 AND 0.06"))
-        plain = tpch_db.sql(Q6_SQL)
+        plain = tpch_session.execute(Q6_SQL)
         assert between.rows[0]["revenue"] == pytest.approx(
             plain.rows[0]["revenue"])
 
@@ -114,15 +119,16 @@ class TestScaling:
             "WHERE l_shipdate >= DATE '1994-01-01'", tpch_db.catalog)
         assert "Const(8766)" in repr(query.predicate)
 
-    def test_sum_of_decimal_descaled(self, tpch_db):
-        report = tpch_db.sql(
+    def test_sum_of_decimal_descaled(self, tpch_session):
+        report = tpch_session.execute(
             "SELECT SUM(l_quantity) AS q FROM lineitem")
         lineitem = generate_lineitem(TPCH_SCALE)
         assert report.rows[0]["q"] == pytest.approx(
             lineitem["l_quantity"].astype(np.int64).sum() / 100)
 
-    def test_avg_of_decimal_in_human_units(self, tpch_db):
-        report = tpch_db.sql("SELECT AVG(l_discount) AS d FROM lineitem")
+    def test_avg_of_decimal_in_human_units(self, tpch_session):
+        report = tpch_session.execute(
+            "SELECT AVG(l_discount) AS d FROM lineitem")
         assert 0.0 <= report.rows[0]["d"] <= 0.10
 
     def test_scale_mismatch_rejected(self, tpch_db):
@@ -145,7 +151,7 @@ class TestJoins:
             "SELECT COUNT(*) AS n FROM lineitem "
             "JOIN part ON l_partkey = p_partkey", tpch_db.catalog)
         assert query.join is not None
-        report_host = tpch_db.execute(query, placement="host")
+        report_host = tpch_db.execute_placed(query, Placement.HOST)
         assert report_host.rows[0]["n"] > 0
 
     def test_missing_join_condition_rejected(self, tpch_db):
@@ -156,7 +162,7 @@ class TestJoins:
 
 class TestRowQueries:
     @pytest.fixture
-    def simple_db(self):
+    def simple_session(self):
         schema = Schema([Column("k", Int32Type()),
                          Column("v", Int32Type()),
                          Column("price", DecimalType())])
@@ -165,26 +171,26 @@ class TestRowQueries:
         db = Database()
         db.create_smart_ssd()
         db.create_table("t", schema, Layout.PAX, rows, "smart-ssd")
-        return db
+        return Session(db)
 
-    def test_projection_and_filter(self, simple_db):
-        report = simple_db.sql(
-            "SELECT k, v FROM t WHERE k < 5", placement="smart")
+    def test_projection_and_filter(self, simple_session):
+        report = simple_session.execute(
+            "SELECT k, v FROM t WHERE k < 5", Placement.SMART)
         assert report.rows["k"].tolist() == [0, 1, 2, 3, 4]
 
-    def test_distinct_order_limit(self, simple_db):
-        report = simple_db.sql(
+    def test_distinct_order_limit(self, simple_session):
+        report = simple_session.execute(
             "SELECT DISTINCT v FROM t ORDER BY v DESC LIMIT 3")
         assert report.rows["v"].tolist() == [9, 8, 7]
 
-    def test_computed_column_with_alias(self, simple_db):
-        report = simple_db.sql("SELECT k, k * 2 AS doubled FROM t LIMIT 4 "
-                               .replace("LIMIT 4", "ORDER BY k LIMIT 4"))
+    def test_computed_column_with_alias(self, simple_session):
+        report = simple_session.execute(
+            "SELECT k, k * 2 AS doubled FROM t ORDER BY k LIMIT 4")
         assert report.rows["doubled"].tolist() == [0, 2, 4, 6]
 
-    def test_order_by_unknown_output_rejected(self, simple_db):
+    def test_order_by_unknown_output_rejected(self, simple_session):
         with pytest.raises(SqlError, match="ORDER BY"):
-            simple_db.sql("SELECT k FROM t ORDER BY v")
+            simple_session.execute("SELECT k FROM t ORDER BY v")
 
 
 class TestBinderErrors:

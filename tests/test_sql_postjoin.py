@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Placement, Session
 from repro.bench.runners import DeviceKind, make_tpch_db
 from repro.engine import run_reference
 from repro.sql import compile_sql
@@ -33,6 +34,11 @@ def tpch_db():
 
 
 @pytest.fixture(scope="module")
+def tpch_session(tpch_db):
+    return Session(tpch_db)
+
+
+@pytest.fixture(scope="module")
 def tpch_arrays():
     return ({"lineitem": lineitem_schema(), "part": part_schema()},
             {"lineitem": generate_lineitem(SCALE),
@@ -40,26 +46,27 @@ def tpch_arrays():
 
 
 class TestInLists:
-    def test_in_equivalent_to_or_chain(self, tpch_db):
-        with_in = tpch_db.sql(
+    def test_in_equivalent_to_or_chain(self, tpch_session):
+        with_in = tpch_session.execute(
             "SELECT COUNT(*) AS n FROM lineitem "
             "WHERE l_shipmode IN ('AIR', 'RAIL')")
-        with_or = tpch_db.sql(
+        with_or = tpch_session.execute(
             "SELECT COUNT(*) AS n FROM lineitem "
             "WHERE l_shipmode = 'AIR' OR l_shipmode = 'RAIL'")
         assert with_in.rows[0]["n"] == with_or.rows[0]["n"] > 0
 
-    def test_string_padding_matters(self, tpch_db):
+    def test_string_padding_matters(self, tpch_session):
         """'AIR' must match the space-padded CHAR(10) storage form."""
-        report = tpch_db.sql("SELECT COUNT(*) AS n FROM lineitem "
-                             "WHERE l_shipmode = 'AIR'")
+        report = tpch_session.execute(
+            "SELECT COUNT(*) AS n FROM lineitem WHERE l_shipmode = 'AIR'")
         lineitem = generate_lineitem(SCALE)
         expected = int((lineitem["l_shipmode"] == b"AIR".ljust(10)).sum())
         assert report.rows[0]["n"] == expected > 0
 
-    def test_numeric_in_scaled(self, tpch_db):
-        report = tpch_db.sql("SELECT COUNT(*) AS n FROM lineitem "
-                             "WHERE l_discount IN (0.05, 0.06)")
+    def test_numeric_in_scaled(self, tpch_session):
+        report = tpch_session.execute(
+            "SELECT COUNT(*) AS n FROM lineitem "
+            "WHERE l_discount IN (0.05, 0.06)")
         lineitem = generate_lineitem(SCALE)
         expected = int(np.isin(lineitem["l_discount"], [5, 6]).sum())
         assert report.rows[0]["n"] == expected
@@ -87,11 +94,11 @@ class TestConjunctSplitting:
         # Build columns used post-join travel as payload.
         assert set(query.join.payload) >= {"p_container", "p_brand"}
 
-    def test_build_filter_reduces_matches(self, tpch_db):
-        filtered = tpch_db.sql(
+    def test_build_filter_reduces_matches(self, tpch_session):
+        filtered = tpch_session.execute(
             "SELECT COUNT(*) AS n FROM lineitem, part "
             "WHERE l_partkey = p_partkey AND p_size > 48")
-        unfiltered = tpch_db.sql(
+        unfiltered = tpch_session.execute(
             "SELECT COUNT(*) AS n FROM lineitem, part "
             "WHERE l_partkey = p_partkey")
         assert 0 < filtered.rows[0]["n"] < unfiltered.rows[0]["n"]
@@ -99,16 +106,16 @@ class TestConjunctSplitting:
 
 class TestQ19Style:
     @pytest.mark.parametrize("placement", ["host", "smart"])
-    def test_matches_reference(self, tpch_db, tpch_arrays, placement):
+    def test_matches_reference(self, tpch_session, tpch_arrays, placement):
         schemas, arrays = tpch_arrays
-        query = compile_sql(Q19_STYLE, tpch_db.catalog)
+        query = tpch_session.compile(Q19_STYLE)
         expected = run_reference(query, schemas, arrays)
-        report = tpch_db.sql(Q19_STYLE, placement=placement)
+        report = tpch_session.execute(Q19_STYLE, placement)
         assert report.rows[0]["n"] == expected["n"] > 0
         assert report.rows[0]["revenue"] == pytest.approx(
             expected["revenue"])
 
-    def test_row_mode_post_join(self, tpch_db, tpch_arrays):
+    def test_row_mode_post_join(self, tpch_session, tpch_arrays):
         schemas, arrays = tpch_arrays
         sql = ("SELECT l_orderkey, p_brand FROM lineitem, part "
                "WHERE l_partkey = p_partkey AND p_brand = 'Brand#11' "
@@ -118,11 +125,11 @@ class TestQ19Style:
         sql = ("SELECT l_orderkey, p_brand FROM lineitem, part "
                "WHERE l_partkey = p_partkey "
                "AND (p_brand = 'Brand#11' OR l_quantity > 49)")
-        query = compile_sql(sql, tpch_db.catalog)
+        query = tpch_session.compile(sql)
         assert query.post_predicate is not None
         expected = run_reference(query, schemas, arrays)
-        host = tpch_db.sql(sql, placement="host")
-        smart = tpch_db.sql(sql, placement="smart")
+        host = tpch_session.execute(sql, Placement.HOST)
+        smart = tpch_session.execute(sql, Placement.SMART)
         assert np.array_equal(host.rows, smart.rows)
         assert np.array_equal(host.rows["l_orderkey"],
                               expected["l_orderkey"])

@@ -17,6 +17,7 @@ from repro.bench.runners import (
     make_tpch_db,
     workload_cache_stats,
 )
+from repro.engine import Placement
 from repro.engine.expressions import Col, Compare, Const
 from repro.engine.plans import AggSpec, Query
 from repro.storage import Layout
@@ -64,10 +65,10 @@ def test_cache_hit_returns_equivalent_world():
 def test_cached_build_runs_bit_identical_to_fresh_build():
     query = _count_query("synthetic64_s")
     fresh = make_synthetic_db(DeviceKind.SMART, Layout.PAX)
-    report_fresh = fresh.execute(query, placement="smart")
+    report_fresh = fresh.execute_placed(query, Placement.SMART)
 
     cached = make_synthetic_db(DeviceKind.SMART, Layout.PAX)
-    report_cached = cached.execute(query, placement="smart")
+    report_cached = cached.execute_placed(query, Placement.SMART)
 
     assert report_cached.elapsed_seconds == report_fresh.elapsed_seconds
     assert report_cached.counters == report_fresh.counters
@@ -76,7 +77,7 @@ def test_cached_build_runs_bit_identical_to_fresh_build():
 def test_query_on_one_db_does_not_touch_another():
     db1 = make_tpch_db(DeviceKind.SSD, Layout.NSM)
     db2 = make_tpch_db(DeviceKind.SSD, Layout.NSM)
-    db1.execute(_count_query("lineitem"), placement="host")
+    db1.execute_placed(_count_query("lineitem"), Placement.HOST)
     assert db1.sim.now > 0.0
     assert db2.sim.now == 0.0
 
