@@ -198,9 +198,7 @@ class Compare(Expr):
         left = self.left.evaluate(ctx, active)
         right = self.right.evaluate(ctx, active)
         ctx.counters.predicates_evaluated += active
-        mask = _COMPARE_OPS[self.op](left, right)
-        return np.broadcast_to(np.asarray(mask, dtype=bool),
-                               (ctx.row_count,))
+        return _full_mask(_COMPARE_OPS[self.op](left, right), ctx.row_count)
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -279,8 +277,7 @@ class LikePrefix(Expr):
         as_bytes = values.view(np.uint8).reshape(len(values),
                                                  itemsize)[:, :width]
         wanted = np.frombuffer(self.prefix, dtype=np.uint8)
-        mask = (as_bytes == wanted).all(axis=1)
-        return np.broadcast_to(mask, (ctx.row_count,))
+        return _full_mask((as_bytes == wanted).all(axis=1), ctx.row_count)
 
     def __repr__(self) -> str:
         return f"({self.column!r} LIKE {self.prefix!r}%)"
@@ -310,6 +307,15 @@ class CaseWhen(Expr):
     def __repr__(self) -> str:
         return (f"CASE WHEN {self.condition!r} THEN {self.then!r} "
                 f"ELSE {self.otherwise!r} END")
+
+
+def _full_mask(mask: Any, row_count: int) -> np.ndarray:
+    """``mask`` as a boolean array of ``row_count`` rows; a mask that
+    already is one comes back as is (callers never write into masks)."""
+    if (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+            and mask.shape == (row_count,)):
+        return mask
+    return np.broadcast_to(np.asarray(mask, dtype=bool), (row_count,))
 
 
 def _require_boolean(*nodes: Expr) -> None:

@@ -90,10 +90,10 @@ def _exact_at_full(expr: Expr) -> bool:
     if isinstance(expr, (And, Or)):
         # The left side keeps full active; the right side receives the
         # (additive) survivor count, where only clamp-free trees are safe.
-        return _exact_at_full(expr.left) and _clamp_free(expr.right)
+        return _exact_at_full(expr.left) and clamp_free(expr.right)
     if isinstance(expr, CaseWhen):
-        return (_exact_at_full(expr.condition) and _clamp_free(expr.then)
-                and _clamp_free(expr.otherwise))
+        return (_exact_at_full(expr.condition) and clamp_free(expr.then)
+                and clamp_free(expr.otherwise))
     if isinstance(expr, (Compare, _BinaryArith)):
         return _exact_at_full(expr.left) and _exact_at_full(expr.right)
     if isinstance(expr, LikePrefix):
@@ -103,14 +103,18 @@ def _exact_at_full(expr: Expr) -> bool:
     return isinstance(expr, (Col, Const))
 
 
-def _clamp_free(expr: Expr) -> bool:
-    """True when the subtree contains no min/max-clamping combinator."""
+def clamp_free(expr: Expr) -> bool:
+    """True when the subtree contains no min/max-clamping combinator.
+
+    Such a tree charges linearly in ``active`` at *any* active count, so
+    one evaluation over concatenated pages charges the per-page sum.
+    """
     if isinstance(expr, (And, Or, CaseWhen)):
         return False
     if isinstance(expr, (Compare, _BinaryArith)):
-        return _clamp_free(expr.left) and _clamp_free(expr.right)
+        return clamp_free(expr.left) and clamp_free(expr.right)
     if isinstance(expr, LikePrefix):
-        return _clamp_free(expr.column)
+        return clamp_free(expr.column)
     return isinstance(expr, (Col, Const))
 
 

@@ -39,6 +39,7 @@ from repro.errors import (
     ProgramCrashError,
     ProtocolError,
 )
+from repro.host.dml import validate_update
 from repro.host.executor import (
     QueryOutcome,
     SharedScanHandle,
@@ -186,11 +187,12 @@ class QueryScheduler:
         runs until :meth:`gather`; the ticket's accounting fields (rows
         changed, pages flushed, FTL write amplification) are filled in by
         the run. Write tickets do not occupy report slots — ``gather``
-        still returns exactly one report per query submission.
+        still returns exactly one report per query submission. The whole
+        statement is checked here (:func:`~repro.host.dml.validate_update`),
+        so a bad column or literal raises at submit, not inside gather.
         """
         table = self.db.catalog.table(table_name)  # validate early
-        for name in assignments:
-            table.schema.column_index(name)
+        validate_update(table.schema, predicate, assignments)
         if at < 0:
             raise PlanError(f"negative arrival offset: {at}")
         ticket = WriteTicket(windex=len(self.write_submissions),

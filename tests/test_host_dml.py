@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.engine import AggSpec, Col, Compare, Const, Mul, Placement, Query
-from repro.errors import PlanError
+from repro.api import Session
+from repro.engine import (
+    Add,
+    AggSpec,
+    And,
+    Col,
+    Compare,
+    Const,
+    Mul,
+    Placement,
+    Query,
+    and_all,
+)
+from repro.errors import CatalogError, PlanError, StorageError
+from repro.host import dml
 from repro.host.db import Database
 from repro.storage import Column, Int32Type, Layout, Schema
+from repro.storage.layout import tuples_per_page
 
 
 @pytest.fixture
@@ -123,3 +137,71 @@ class TestPushdownCoherence:
             db.flush_table("t")
             report = db.execute_placed(query, Placement.SMART)
             assert report.rows[0]["s"] == 2000 * value
+
+
+class TestValidation:
+    """A whole UPDATE is checked before any page is read."""
+
+    def test_bad_literal_rejected_when_nothing_matches(self, schema):
+        session = Session(make_db(schema))
+        with pytest.raises(StorageError):
+            session.update("t", Compare(Col("k"), "<", Const(-1)),
+                           {"v": "abc"})
+
+    def test_rejected_update_reads_nothing(self, schema):
+        db = make_db(schema)
+        t0 = db.sim.now
+        with pytest.raises(StorageError):
+            db.update_rows("t", None, {"v": 2**40})
+        assert db.sim.now == t0
+        heap = db.catalog.table("t").heap
+        assert db.buffer_pool.cached_fraction(
+            "smart-ssd", heap.first_lpn, heap.page_count) == 0
+
+    def test_unknown_predicate_column_rejected(self, schema):
+        db = make_db(schema)
+        with pytest.raises(CatalogError):
+            db.update_rows("t", Compare(Col("nope"), "<", Const(1)),
+                           {"v": 1})
+
+    @pytest.mark.parametrize("predicate,assignments,error", [
+        (None, {"v": Add(Col("nope"), Const(1))}, CatalogError),
+        (Compare(Col("nope"), "<", Const(1)), {"v": 1}, CatalogError),
+        (None, {"v": "abc"}, StorageError),
+    ], ids=["rhs-column", "predicate-column", "literal"])
+    def test_submit_update_rejects_at_submit(self, schema, predicate,
+                                             assignments, error):
+        session = Session(make_db(schema))
+        with pytest.raises(error):
+            session.submit_update("t", predicate, assignments)
+        assert session.scheduler.write_submissions == []
+
+
+@pytest.mark.parametrize("layout", [Layout.NSM, Layout.PAX])
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_update_decodes_only_hit_pages(schema, layout, nested, monkeypatch):
+    """Three hit pages (across a unit boundary) out of 40: the full-page
+    decoder and encoder run three times each, whatever the predicate's
+    nesting."""
+    cap = tuples_per_page(layout, schema)
+    db = make_db(schema, n=40 * cap, layout=layout)
+    lo, hi = 31 * cap + 7, 33 * cap + 1       # pages 31, 32 and 33
+    ge = Compare(Col("k"), ">=", Const(lo))
+    lt = Compare(Col("k"), "<", Const(hi))
+    predicate = (and_all([ge, lt]) if nested == "left"
+                 else And(ge, And(lt, Compare(Col("v"), ">=", Const(0)))))
+    calls = {"decode": 0, "encode": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dml, "decode_page",
+                        counting("decode", dml.decode_page))
+    monkeypatch.setattr(dml, "encode_page",
+                        counting("encode", dml.encode_page))
+    assert db.update_rows("t", predicate, {"v": 5}) == hi - lo
+    assert calls == {"decode": 3, "encode": 3}
+    assert len(db.buffer_pool.dirty_lpns("smart-ssd")) == 3

@@ -240,7 +240,7 @@ class TestFleetLifecycle:
         # the world version, so the cached fleet must be rebuilt.
         frontend.update("lineitem",
                         Compare(Col("l_orderkey"), "<", Const(0)),
-                        {"l_quantity": 1.0})
+                        {"l_quantity": 100})  # 1.00, stored x100
         frontend.submit(q6_query(), tenant="c")
         frontend.submit(q6_query(), tenant="d", at=0.001)
         frontend.gather()
