@@ -102,6 +102,15 @@ CALIBRATED_GATES = {
 PARALLEL_SPEEDUP_FLOOR = 1.8
 PARALLEL_MIN_CPUS = 4
 
+#: Count suffixes where more is better: pages the zone maps let a scan
+#: skip. Every other count gates as lower-is-better.
+HIGHER_IS_BETTER_COUNTS = ("pages_skipped",)
+
+
+def _higher_is_better(key: str) -> bool:
+    """Whether a larger value of metric ``key`` is an improvement."""
+    return key.endswith("_per_s") or key.endswith(HIGHER_IS_BETTER_COUNTS)
+
 
 def _check_parallel(report: dict, failures: list) -> None:
     block = report.get("parallel")
@@ -143,7 +152,8 @@ def _normalize(report: dict) -> dict[str, float]:
             # Calibration units spent: lower is better.
             normalized[key] = value / calibration
         else:
-            # Counts: machine-independent, compare as-is (lower is better).
+            # Counts: machine-independent, compared as-is in the direction
+            # :func:`_higher_is_better` gives.
             normalized[key] = float(value)
     return normalized
 
@@ -152,7 +162,7 @@ def _regression(key: str, baseline: float, current: float) -> float:
     """Fractional regression (positive = worse) for one metric."""
     if baseline <= 0:
         return 0.0
-    if key.endswith("_per_s"):
+    if _higher_is_better(key):
         return (baseline - current) / baseline
     return (current - baseline) / baseline
 

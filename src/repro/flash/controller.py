@@ -13,10 +13,14 @@ The controller is where the paper's two key internal mechanisms live:
   is the Table-2 internal sequential read bandwidth and the hard ceiling on
   what a Smart SSD program can stream.
 
-ECC is modeled functionally: each page's payload CRC is verified on read
+ECC is modeled functionally: a page's payload CRC is verified on read
 (inline hardware, so no extra simulated time), so injected corruption
 surfaces as :class:`~repro.errors.StorageError` exactly where a real
-controller would raise a media error.
+controller would raise a media error. The host-side check runs once per
+stored copy of a page: stored bytes never change, so a copy that passed
+once passes again. A new copy (a program, an FTL write or GC relocation,
+``corrupt_page``) clears the page's ``checked`` byte and an erase drops it
+with the block; ``ecc_pages_checked`` still counts every page read.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from repro.flash.ftl import PageMappedFtl
 from repro.flash.geometry import NandGeometry, NandTiming
 from repro.flash.nand import NandArray
 from repro.sim import Bandwidth, Event, Resource, Simulator, seize
-from repro.storage.page import verify_pages
 
 #: ECC read-retry rounds (re-sense with shifted thresholds) before a page
 #: is declared uncorrectable.
@@ -38,7 +41,12 @@ ECC_RETRY_LIMIT = 4
 
 
 class FlashController:
-    """Schedules NAND operations onto channels and the shared DRAM bus."""
+    """Schedules NAND operations onto channels and the shared DRAM bus.
+
+    With ``verify_ecc`` every read page's CRC is checked, once per stored
+    copy (:meth:`~repro.flash.nand.NandArray.read_unit`); the ``nand.read``
+    fault site prices ECC retries independently of that check.
+    """
 
     def __init__(self, sim: Simulator, geometry: NandGeometry,
                  timing: NandTiming, nand: NandArray, ftl: PageMappedFtl,
@@ -108,9 +116,8 @@ class FlashController:
                 total, obs.span("dram.dma", track=self.dram_bus.name,
                                 bytes=total))
 
-        pages = [self.nand.read(ppn) for ppn in ppns]
+        pages = self.nand.read_unit(ppns, self.verify_ecc)
         if self.verify_ecc:
-            verify_pages(pages)
             self.ecc_pages_checked += len(pages)
         return pages
 

@@ -15,11 +15,12 @@ proportional to the data actually written, never to the geometry.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.errors import FlashError, ProgramFailError
 from repro.faults import SITE_NAND_PROGRAM, check_fault
 from repro.flash.geometry import NandGeometry
+from repro.storage.page import verify_pages
 
 
 class PageState(enum.Enum):
@@ -43,14 +44,22 @@ class BlockRecord:
     and a monotonic write sequence — what real firmware stashes in the spare
     area so the mapping survives power loss) grow only as far as the highest
     page programmed.
+
+    ``checked`` has one byte per page, set once the stored copy passed the
+    ECC check (:meth:`NandArray.read_unit`). Stored bytes are immutable, so
+    a check of the same copy can never give another answer; only a new copy
+    clears the byte: :meth:`store`, :meth:`NandArray.corrupt_page`, and an
+    erase (which drops the whole record). A page appended past the end of
+    ``data`` has never held a copy in this record, so its byte is clear.
     """
 
-    __slots__ = ("state", "data", "oob")
+    __slots__ = ("state", "data", "oob", "checked")
 
     def __init__(self, pages_per_block: int):
         self.state = bytearray(pages_per_block)
         self.data: list[Optional[bytes]] = []
         self.oob: list[Optional[tuple[int, int]]] = []
+        self.checked = bytearray(pages_per_block)
 
     def store(self, page: int, data: bytes,
               oob: Optional[tuple[int, int]]) -> None:
@@ -61,6 +70,7 @@ class BlockRecord:
             self.oob.extend([None] * gap)
         self.data[page] = data
         self.oob[page] = oob
+        self.checked[page] = 0
 
 
 class NandArray:
@@ -107,6 +117,36 @@ class NandArray:
             self.reads += 1
             return record.data[page]
         raise FlashError(f"read of {self.state(ppn).value} page {ppn}")
+
+    def read_unit(self, ppns: Sequence[int], verify: bool) -> list[bytes]:
+        """Read many programmed pages, ECC-checking each stored copy once.
+
+        With ``verify``, pages whose ``checked`` byte is clear go through
+        :func:`~repro.storage.page.verify_pages` (a bad copy raises
+        :class:`~repro.errors.StorageError` and stays unchecked, so every
+        later read raises again); the byte is set only once the check
+        passes. Returns the bytes in ``ppns`` order.
+        """
+        pages_per_block = self._pages_per_block
+        blocks = self.blocks
+        pages = []
+        unchecked = []
+        for ppn in ppns:
+            record = blocks.get(ppn // pages_per_block)
+            page = ppn % pages_per_block
+            if record is None or record.state[page] != PROGRAMMED:
+                self.reads += len(pages)
+                self.read(ppn)  # raises the FlashError
+            data = record.data[page]
+            pages.append(data)
+            if verify and not record.checked[page]:
+                unchecked.append((record.checked, page, data))
+        self.reads += len(pages)
+        if unchecked:
+            verify_pages([data for __, __, data in unchecked])
+            for checked, page, __ in unchecked:
+                checked[page] = 1
+        return pages
 
     def program(self, ppn: int, data: bytes,
                 oob: Optional[tuple[int, int]] = None) -> None:
@@ -169,6 +209,7 @@ class NandArray:
         if record is None or record.state[page] != PROGRAMMED:
             raise FlashError(f"corrupt of {self.state(ppn).value} page {ppn}")
         record.data[page] = bytes(data)
+        record.checked[page] = 0
 
     def erase_block(self, channel: int, chip: int, block: int) -> None:
         """Erase a whole block, releasing all its pages."""

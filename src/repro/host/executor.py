@@ -606,9 +606,9 @@ def execute_many(db: "Database", handle: SharedScanHandle,
                     __, member, state = item
                     agg_states[member] = state
                 elif tag == "done":
-                    __, member, counters, __info = item
+                    __, member, counters, info = item
                     yield from _finish_shared_member(
-                        db, handle, member, counters,
+                        db, handle, member, counters, info["pages_read"],
                         chunk_buffers.pop(member, []),
                         agg_states.pop(member, None))
                 elif tag == "stats":
@@ -639,12 +639,16 @@ def execute_many(db: "Database", handle: SharedScanHandle,
 
 def _finish_shared_member(db: "Database", handle: SharedScanHandle,
                           member: int, counters: WorkCounters,
+                          pages_read: int,
                           chunk_entries: list[tuple[int, list]],
                           agg_state: Optional[AggState],
                           ) -> Generator[Event, None, None]:
     """Merge one member's buffered results into its final outcome."""
     query = handle.queries[member]
-    outcome = QueryOutcome(rows=None, counters=counters)
+    # The member's share of NAND reads: every page the scan read that this
+    # query consumed (a solo scan of it would read exactly these).
+    outcome = QueryOutcome(rows=None, counters=counters,
+                           pages_read=pages_read)
     if query.select:
         chunk_entries.sort(key=lambda entry: entry[0])
         flat = [chunk for __, chunks in chunk_entries for chunk in chunks]

@@ -109,8 +109,7 @@ def estimate_skip_fraction(db: "Database", query: Query) -> float:
     pruner = build_pruner(query.predicate, table.schema)
     if pruner is None:
         return 0.0
-    pruned = sum(1 for index in range(stats.page_count)
-                 if not pruner.page_might_match(stats.page(index)))
+    pruned = stats.page_count - int(np.count_nonzero(pruner.mask(stats)))
     return pruned / stats.page_count
 
 

@@ -48,7 +48,7 @@ from repro.host.executor import (
     host_query_process,
     smart_query_process,
 )
-from repro.model.report import ExecutionReport
+from repro.model.report import ExecutionReport, IoStats
 from repro.sim import Resource
 from repro.smart.device import SmartSsd
 from repro.writepath import WriteTicket, write_unit_process
@@ -706,6 +706,7 @@ class QueryScheduler:
                 device_name=table.device_name,
                 layout=table.layout.value,
                 counters=submission.outcome.counters,
+                io=IoStats(pages_read_device=submission.outcome.pages_read),
                 energy=energy,
                 host_cpu_core_seconds=host_cpu,
                 profile=profile,

@@ -275,11 +275,12 @@ def _execute_query_body(device: "SmartSsd", session: "Session",
             if pruner is not None:
                 # Consult the per-page statistics before touching flash;
                 # a skipped page costs a metadata check, not a NAND read.
+                # The extent's mask is computed once per scan; a unit is a
+                # contiguous run of it.
                 counters.zone_map_checks += pruner.leaf_checks * len(lpns)
-                offsets = [
-                    off for off in offsets
-                    if pruner.page_might_match(
-                        stats.page(lpns[off] - heap.first_lpn))]
+                start = lpns[0] - heap.first_lpn
+                offsets = pruner.mask(stats)[
+                    start:start + len(lpns)].nonzero()[0].tolist()
                 skipped = len(lpns) - len(offsets)
                 if skipped:
                     counters.pages_skipped += skipped

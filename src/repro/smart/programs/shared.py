@@ -125,6 +125,8 @@ class _Member:
         self.left = unit_count                   # units not yet processed
         self.counters = WorkCounters()
         self.counters.shared_scans_joined = 1
+        #: NAND pages the scan read with this rider among their consumers.
+        self.pages_read = 0
         self.late = late
         if late:
             self.counters.shared_scan_late_attaches = 1
@@ -251,7 +253,8 @@ def _shared_scan_body(device: "SmartSsd", session: "Session",
                     bytes=nbytes))
             session.push(("agg", member.index, total), nbytes)
         session.push(("done", member.index, member.counters,
-                      {"late": member.late}), RESULT_FRAME_NBYTES)
+                      {"late": member.late, "pages_read": member.pages_read}),
+                     RESULT_FRAME_NBYTES)
         member.done = True
 
     def unit_job(position: int,
@@ -268,20 +271,23 @@ def _shared_scan_body(device: "SmartSsd", session: "Session",
             marginal = {member.index: WorkCounters() for member in targets}
             chunks = {member.index: [] for member in targets
                       if member.select}
-            # Per-page qualification: a rider without a pruner needs every
+            # Per-page qualification from each rider's extent mask (computed
+            # once per scan): a rider without a pruner needs every
             # page; a page is skipped only when *no* rider might match it.
-            page_plan: list[tuple[int, list[_Member]]] = []
-            for lpn in unit_runs[position]:
-                qualifying = []
-                for member in targets:
-                    if member.pruner is None:
-                        qualifying.append(member)
-                        continue
+            run = unit_runs[position]
+            start = run[0] - heap.first_lpn
+            masks = {}
+            for member in targets:
+                if member.pruner is not None:
                     marginal[member.index].zone_map_checks += \
-                        member.pruner.leaf_checks
-                    if member.pruner.page_might_match(
-                            extent_stats.page(lpn - heap.first_lpn)):
-                        qualifying.append(member)
+                        member.pruner.leaf_checks * len(run)
+                    masks[member.index] = member.pruner.mask(
+                        extent_stats)[start:start + len(run)].tolist()
+            page_plan: list[tuple[int, list[_Member]]] = []
+            for offset, lpn in enumerate(run):
+                qualifying = [member for member in targets
+                              if member.index not in masks
+                              or masks[member.index][offset]]
                 if qualifying:
                     page_plan.append((lpn, qualifying))
             skipped = len(unit_runs[position]) - len(page_plan)
@@ -290,6 +296,9 @@ def _shared_scan_body(device: "SmartSsd", session: "Session",
                 pages = yield from device.internal_read(
                     [lpn for lpn, __ in page_plan])
             saved = sum(len(q) - 1 for __, q in page_plan)
+            for __, qualifying in page_plan:
+                for member in qualifying:
+                    member.pages_read += 1
             stats["units_dispatched"] += 1
             stats["pages_read"] += len(pages)
             stats["saved_page_reads"] += saved

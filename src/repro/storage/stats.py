@@ -7,8 +7,8 @@ a min/max *zone map* per column, and (optionally) a seeded Bloom filter per
 configured column for equality probes. The catalog computes an
 :class:`ExtentStats` at load time from the same rows it encodes, registers
 it with the device (firmware-resident metadata, alongside the extent map),
-and the device scan programs consult it page-by-page before building the
-flash command list.
+and the device scan programs consult it once per scan, as one page mask over
+the extent, before building each unit's flash command list.
 
 Statistics are *conservative*: a page whose stats say "cannot match" is
 guaranteed to hold no qualifying tuple (zone maps bound every stored value;
@@ -190,6 +190,14 @@ class ColumnStats(NamedTuple):
     null_count: int = 0
 
 
+class ZoneVectors(NamedTuple):
+    """One column's zone maps across an extent (:meth:`ExtentStats.zone`)."""
+
+    present: Optional[np.ndarray]
+    vmin: np.ndarray
+    vmax: np.ndarray
+
+
 @dataclass(frozen=True)
 class PageStats:
     """Statistics for a single page: tuple count, zone maps, Blooms."""
@@ -229,9 +237,14 @@ class ExtentStats:
     (:meth:`from_rows`, vectorized), or recovered from encoded pages
     (:meth:`from_pages`). :meth:`refresh` keeps a page's entry current when
     the buffer pool flushes an updated page back to the device.
+
+    Pruning reads the statistics column-wise: :attr:`tuple_counts` and
+    :meth:`zone` are page-order vectors, built on first use and patched in
+    place by :meth:`refresh`.
     """
 
-    __slots__ = ("schema", "config", "_bloom_columns", "_pages")
+    __slots__ = ("schema", "config", "_bloom_columns", "_pages", "version",
+                 "_tuple_counts", "_zones")
 
     def __init__(self, schema: Schema, config: StatsConfig,
                  pages: list[PageStats]):
@@ -239,6 +252,10 @@ class ExtentStats:
         self.config = config
         self._bloom_columns = config.resolve_bloom_columns(schema)
         self._pages = pages
+        #: Bumped by every :meth:`refresh`; vector consumers key on it.
+        self.version = 0
+        self._tuple_counts: Optional[np.ndarray] = None
+        self._zones: dict[str, Optional[ZoneVectors]] = {}
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: np.ndarray, layout: Layout,
@@ -319,14 +336,65 @@ class ExtentStats:
         """Stats for page ``index`` (0-based within the extent)."""
         return self._pages[index]
 
+    @property
+    def tuple_counts(self) -> np.ndarray:
+        """Every page's tuple count, in page order."""
+        if self._tuple_counts is None:
+            self._tuple_counts = np.array(
+                [page.tuple_count for page in self._pages], dtype=np.int64)
+        return self._tuple_counts
+
+    def zone(self, name: str) -> Optional[ZoneVectors]:
+        """Column ``name``'s zone maps as page-order vectors, or ``None``
+        when no page has statistics for it.
+
+        ``vmin``/``vmax`` are object arrays of the same Python scalars the
+        per-page :class:`ColumnStats` hold, so comparisons against them
+        behave exactly like scalar ones. Pages without an entry for the
+        column are flagged in ``present`` (``None`` when every page has
+        one) and carry a filler bound copied from a page that does.
+        """
+        if name not in self._zones:
+            self._zones[name] = self._build_zone(name)
+        return self._zones[name]
+
+    def _build_zone(self, name: str) -> Optional[ZoneVectors]:
+        entries = [page.columns.get(name) for page in self._pages]
+        filler = next((entry for entry in entries if entry is not None),
+                      None)
+        if filler is None:
+            return None
+        present = None
+        if any(entry is None for entry in entries):
+            present = np.array([entry is not None for entry in entries])
+            entries = [filler if entry is None else entry
+                       for entry in entries]
+        vmin = np.empty(len(entries), dtype=object)
+        vmax = np.empty(len(entries), dtype=object)
+        vmin[:] = [entry.vmin for entry in entries]
+        vmax[:] = [entry.vmax for entry in entries]
+        return ZoneVectors(present, vmin, vmax)
+
     def refresh(self, index: int, page: bytes) -> None:
         """Recompute one page's stats after an in-place page rewrite."""
         header = PageHeader.decode(page)
         columns = decode_columns(self.schema, page, self.schema.names,
                                  header=header)
-        self._pages[index] = _page_stats(
+        fresh = self._pages[index] = _page_stats(
             self.schema, columns, header.tuple_count, self.config,
             self._bloom_columns)
+        self.version += 1
+        if self._tuple_counts is not None:
+            self._tuple_counts[index] = fresh.tuple_count
+        for name, zone in list(self._zones.items()):
+            entry = fresh.columns.get(name)
+            if (entry is None or zone is None
+                    or (zone.present is not None and not zone.present[index])):
+                # Presence may change: rebuild this column on next use.
+                del self._zones[name]
+            else:
+                zone.vmin[index] = entry.vmin
+                zone.vmax[index] = entry.vmax
 
     def copy(self) -> "ExtentStats":
         """A shallow copy safe to hand to an independent simulated world.

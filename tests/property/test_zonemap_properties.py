@@ -105,9 +105,7 @@ def test_pruning_never_skips_a_qualifying_page(rows, predicate):
     assert pruner.leaf_checks >= 1
     stats = ExtentStats.from_rows(SCHEMA, rows, Layout.PAX, STATS_CONFIG)
     capacity = tuples_per_page(Layout.PAX, SCHEMA)
-    for index in range(stats.page_count):
-        if pruner.page_might_match(stats.page(index)):
-            continue
+    for index in np.flatnonzero(~pruner.mask(stats)):
         chunk = rows[index * capacity:(index + 1) * capacity]
         assert _page_qualifiers(predicate, chunk) == 0, (
             f"page {index} was pruned but holds qualifying tuples "
@@ -125,9 +123,7 @@ def test_stats_from_pages_prune_identically(rows, predicate):
     pages = list(build_heap_pages(SCHEMA, rows, Layout.PAX))
     from_pages = ExtentStats.from_pages(SCHEMA, pages, STATS_CONFIG)
     assert from_rows.page_count == from_pages.page_count == len(pages)
-    for index in range(len(pages)):
-        assert (pruner.page_might_match(from_rows.page(index))
-                == pruner.page_might_match(from_pages.page(index)))
+    assert np.array_equal(pruner.mask(from_rows), pruner.mask(from_pages))
 
 
 @given(datasets(), predicates())
@@ -217,7 +213,7 @@ def test_empty_relation_stats_prune_everything():
     assert stats.page_count == 1  # heaps always hold at least one page
     pruner = build_pruner(Compare(Col("k"), ">=", Const(-10**9)), SCHEMA)
     assert pruner is not None
-    assert not pruner.page_might_match(stats.page(0))
+    assert not pruner.mask(stats)[0]
 
 
 def test_unanalyzable_predicates_build_no_pruner():
@@ -240,7 +236,7 @@ def test_incomparable_constant_never_prunes():
     rows["tag"] = b"ABEL"
     stats = ExtentStats.from_rows(SCHEMA, rows, Layout.PAX, STATS_CONFIG)
     pruner = build_pruner(Compare(Col("k"), "<", Const("oops")), SCHEMA)
-    assert pruner.page_might_match(stats.page(0))
+    assert pruner.mask(stats)[0]
 
 
 def test_prefix_upper_edge_cases():
@@ -261,7 +257,7 @@ def test_refresh_tracks_overwritten_page():
     stats.refresh(0, page)
     assert stats.page(0).columns["k"].vmin == 1000
     pruner = build_pruner(Compare(Col("k"), "<", Const(10)), SCHEMA)
-    assert not pruner.page_might_match(stats.page(0))
+    assert not pruner.mask(stats)[0]
 
 
 def test_copy_isolates_refreshes():

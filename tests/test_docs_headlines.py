@@ -1,8 +1,11 @@
-"""The Figure 5 numbers the docs print are the ones in ``results/``.
+"""The Figure 3, Figure 5 and Table 2 numbers the docs print are the ones
+in ``results/``.
 
-A golden that moves must take its docs with it: these tests parse
-``README.md`` and ``EXPERIMENTS.md`` and compare them with
-``results/figure_5.txt``.
+A golden that moves must take its docs with it: these tests parse the
+headline block of ``README.md``, the headline table of ``EXPERIMENTS.md``
+and its per-experiment tables, and compare them with
+``results/figure_3.txt``, ``results/figure_5.txt`` and
+``results/table_2.txt``.
 """
 
 import re
@@ -23,6 +26,41 @@ def figure_5_golden() -> dict[str, tuple[str, str, str]]:
     return rows
 
 
+def figure_3_golden() -> dict[str, tuple[str, str]]:
+    """configuration -> (elapsed s at SF-100, measured speedup)."""
+    text = (ROOT / "results" / "figure_3.txt").read_text()
+    rows = {match[1]: match.group(2, 3) for match in re.finditer(
+        r"^(\S+)\s+([\d.,]+)\s+\S+\s+([\d.]+)\s+\w+$", text, re.M)}
+    assert list(rows) == ["sas-ssd", "smart-nsm", "smart-pax"]
+    return rows
+
+
+def table_2_golden() -> dict[str, str]:
+    """path -> measured MB/s (or the internal speedup)."""
+    text = (ROOT / "results" / "table_2.txt").read_text()
+    rows = {match[1]: match[2] for match in re.finditer(
+        r"^(.+?)\s{2,}[\d.,]+\s+([\d.,]+)$", text, re.M)}
+    assert list(rows) == ["SAS SSD (external)", "Smart SSD (internal)",
+                          "internal speedup"]
+    return rows
+
+
+def readme_headline(prefix: str) -> str:
+    """The measured factor on the README headline line for ``prefix``."""
+    readme = (ROOT / "README.md").read_text()
+    line = next(line for line in readme.splitlines()
+                if line.startswith(prefix))
+    return re.search(r"measured ([\d.]+)x", line)[1]
+
+
+def experiments_headline(prefix: str) -> str:
+    """The "Reproduction measures" cell of a headline-table row."""
+    experiments = (ROOT / "EXPERIMENTS.md").read_text()
+    row = next(line for line in experiments.splitlines()
+               if line.startswith(f"| {prefix}"))
+    return row.split("|")[3]
+
+
 def section(text: str, heading: str) -> str:
     """The body of the ``###`` section starting with ``heading``."""
     start = text.index(f"### {heading}")
@@ -31,18 +69,11 @@ def section(text: str, heading: str) -> str:
 
 
 def test_readme_headline_matches_golden():
-    readme = (ROOT / "README.md").read_text()
-    line = next(line for line in readme.splitlines()
-                if line.startswith("Figure 5"))
-    measured = re.search(r"measured ([\d.]+)x", line)[1]
-    assert measured == figure_5_golden()["1%"][2]
+    assert readme_headline("Figure 5") == figure_5_golden()["1%"][2]
 
 
 def test_experiments_headline_matches_golden():
-    experiments = (ROOT / "EXPERIMENTS.md").read_text()
-    row = next(line for line in experiments.splitlines()
-               if line.startswith("| Figure 5"))
-    measured = row.split("|")[3]  # the "Reproduction measures" cell
+    measured = experiments_headline("Figure 5")
     at_1 = re.search(r"([\d.]+)x at 1%", measured)[1]
     at_100 = re.search(r"([\d.]+)x at 100%", measured)[1]
     golden = figure_5_golden()
@@ -55,3 +86,37 @@ def test_experiments_table_matches_golden():
         r"^\| (\d+%) \| ([\d.]+) \| ([\d.]+) \| [^|]+ \| \**([\d.]+)x\** \|$",
         body, re.M)}
     assert table == figure_5_golden()
+
+
+def test_figure_3_headlines_match_golden():
+    golden = figure_3_golden()
+    assert readme_headline("Figure 3") == golden["smart-pax"][1]
+    measured = experiments_headline("Figure 3")
+    pax = re.search(r"([\d.]+)x \(PAX\)", measured)[1]
+    nsm = re.search(r"([\d.]+)x \(NSM\)", measured)[1]
+    assert (pax, nsm) == (golden["smart-pax"][1], golden["smart-nsm"][1])
+
+
+def test_figure_3_table_matches_golden():
+    body = section((ROOT / "EXPERIMENTS.md").read_text(), "Figure 3")
+    names = {"SAS SSD (host, NSM)": "sas-ssd", "Smart SSD (NSM)": "smart-nsm",
+             "Smart SSD (PAX)": "smart-pax"}
+    table = {names[match[1]]: match.group(2, 3) for match in re.finditer(
+        r"^\| ([^|]+?) \| ([\d.,]+) \| [^|]+ \| \**([\d.]+)\** \|$",
+        body, re.M)}
+    assert table == figure_3_golden()
+
+
+def test_table_2_headlines_match_golden():
+    golden = table_2_golden()
+    assert readme_headline("Table 2") == golden["internal speedup"]
+    measured = experiments_headline("Table 2")
+    assert re.search(r"([\d.,]+) MB/s, ([\d.,]+) MB/s \(([\d.]+)x\)",
+                     measured).groups() == tuple(golden.values())
+
+
+def test_table_2_table_matches_golden():
+    body = section((ROOT / "EXPERIMENTS.md").read_text(), "Table 2")
+    table = {match[1]: match[2] for match in re.finditer(
+        r"^\| ([^|]+?) \| [\d.,]+x? \| ([\d.,]+)x? \|$", body, re.M)}
+    assert table == table_2_golden()

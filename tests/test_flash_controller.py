@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.flash.nand as nand_module
+from repro.errors import StorageError
 from repro.flash import (
     FlashController,
     NandArray,
@@ -10,7 +12,13 @@ from repro.flash import (
     PageMappedFtl,
 )
 from repro.sim import Simulator
-from repro.storage.page import PAGE_SIZE
+from repro.storage import Column, Int32Type, Layout, Schema, encode_page
+from repro.storage.page import (
+    PAGE_HEADER_NBYTES,
+    PAGE_SIZE,
+    verify_page,
+    verify_pages,
+)
 from repro.units import MB
 
 
@@ -90,7 +98,6 @@ class TestReadTiming:
             PAGE_SIZE / slow.timing.channel_occupancy_per_read(slow.geometry))
 
     def test_ecc_counts_checked_pages(self):
-        from repro.storage import Column, Int32Type, Layout, Schema, encode_page
         sim, controller, ftl = make_controller(verify_ecc=True)
         schema = Schema([Column("x", Int32Type())])
         page = encode_page(Layout.NSM, schema,
@@ -122,3 +129,99 @@ class TestWriteTiming:
         sim_r.process(controller_r.read_lpns(list(range(32))))
         sim_r.run()
         assert sim_w.now > sim_r.now
+
+
+class TestEccOncePerCopy:
+    """The CRC check runs once per stored copy of a page; a new copy (a
+    program, an FTL write, a GC relocation, ``corrupt_page``) is checked
+    again, and ``ecc_pages_checked`` still counts every page read."""
+
+    SCHEMA = Schema([Column("x", Int32Type())])
+
+    def encoded(self, value):
+        return encode_page(Layout.NSM, self.SCHEMA,
+                           self.SCHEMA.rows_to_array([(value,)]))
+
+    def bad_crc(self, value):
+        page = bytearray(self.encoded(value))
+        page[PAGE_HEADER_NBYTES] ^= 0xFF
+        return bytes(page)
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """Pages handed to the CRC check, in order."""
+        seen = []
+
+        def counting(pages):
+            pages = list(pages)
+            seen.extend(pages)
+            verify_pages(pages)
+
+        monkeypatch.setattr(nand_module, "verify_pages", counting)
+        return seen
+
+    def read(self, sim, controller, lpns):
+        proc = sim.process(controller.read_lpns(lpns))
+        sim.run()
+        return proc.value
+
+    def test_repeat_reads_check_once_but_count_every_page(self, verified):
+        sim, controller, ftl = make_controller(verify_ecc=True)
+        for lpn in range(4):
+            ftl.write(lpn, self.encoded(lpn))
+        for __ in range(3):
+            pages = self.read(sim, controller, [0, 1, 2, 3])
+        assert pages == [self.encoded(lpn) for lpn in range(4)]
+        assert len(verified) == 4
+        assert controller.ecc_pages_checked == 12
+
+    def test_corrupted_after_a_read_still_raises(self, verified):
+        sim, controller, ftl = make_controller(verify_ecc=True)
+        ftl.write(0, self.encoded(7))
+        self.read(sim, controller, [0])
+        bad = self.bad_crc(7)
+        controller.nand.corrupt_page(ftl.lookup(0), bad)
+        with pytest.raises(StorageError) as expected:
+            verify_page(bad)
+        for __ in range(2):  # a bad copy is never marked checked
+            with pytest.raises(StorageError) as raised:
+                self.read(sim, controller, [0])
+            assert str(raised.value) == str(expected.value)
+
+    def test_erased_and_reprogrammed_bad_page_raises(self, verified):
+        sim, controller, ftl = make_controller(verify_ecc=True)
+        ftl.write(0, self.encoded(1))
+        self.read(sim, controller, [0])
+        ppn = ftl.lookup(0)
+        nand = controller.nand
+        channel, chip, block, __ = controller.geometry.unflatten(ppn)
+        nand.erase_block(channel, chip, block)
+        nand.program(ppn, self.bad_crc(1))
+        with pytest.raises(StorageError, match="CRC mismatch"):
+            self.read(sim, controller, [0])
+
+    def test_gc_relocated_page_is_checked_once_more(self, verified):
+        sim, controller, ftl = make_controller(channels=1, chips=1,
+                                               verify_ecc=True)
+        cold, hot = self.encoded(99), self.encoded(1)
+        ftl.write(0, cold)
+        self.read(sim, controller, [0])
+        # Fill the device, then supersede the cold page's block-mates: its
+        # block holds the fewest live pages, so the next GC relocates it.
+        capacity = ftl.logical_capacity_pages
+        for lpn in range(1, capacity):
+            ftl.write(lpn, hot)
+        before = ftl.lookup(0)
+        pages_per_block = controller.geometry.pages_per_block
+        for lpn in range(1, pages_per_block):
+            ftl.write(lpn, hot)
+        for lpn in range(capacity - 1, pages_per_block, -1):
+            if ftl.lookup(0) != before:
+                break
+            ftl.write(lpn, hot)
+        assert ftl.lookup(0) != before
+        verified.clear()
+        assert self.read(sim, controller, [0]) == [cold]
+        assert self.read(sim, controller, [0]) == [cold]
+        assert verified == [cold]
+        assert controller.ecc_pages_checked == 3

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bench.runners import DeviceKind, make_tpch_db
 from repro.engine import (
     AggSpec,
     And,
@@ -26,6 +27,7 @@ from repro.errors import PlanError
 from repro.host.db import Database
 from repro.sched import AdmissionPolicy, QueryScheduler, SchedulerConfig
 from repro.storage import Column, Int32Type, Layout, Schema
+from repro.workloads import q6_query
 
 
 def schema():
@@ -320,6 +322,21 @@ class TestSessionFrontDoor:
                                  placement=Placement.SMART)
         assert report.rows == direct.rows
 
+    def test_delayed_q6_reports_the_pages_it_read(self):
+        # A submission arriving after the window opens runs as a one-member
+        # shared scan; its report must count the NAND pages like execute.
+        def session():
+            return repro.Session(make_tpch_db(DeviceKind.SMART, Layout.PAX,
+                                              0.005))
+
+        direct = session().execute(q6_query(), Placement.SMART)
+        delayed = session()
+        delayed.submit(q6_query(), Placement.SMART, at=1e-3)
+        report = delayed.gather()[0]
+        assert report.counters.shared_scans_joined == 1
+        assert report.rows == direct.rows
+        assert report.io.pages_read_device == direct.io.pages_read_device > 0
+
 
 class TestSharedScanSkipping:
     """Shared scans with per-rider pruning: the stream reads the union of
@@ -374,6 +391,12 @@ class TestSharedScanSkipping:
         assert scheduler.stats["shared_pages_read"] == union
         assert scheduler.stats["pages_skipped"] == page_count - union
         assert scheduler.stats["pages_skipped"] > 0
+        # Each rider's report counts the pages read on its behalf: exactly
+        # what its solo scan reads.
+        assert (low_report.io.pages_read_device
+                == solo_low.io.pages_read_device)
+        assert (high_report.io.pages_read_device
+                == solo_high.io.pages_read_device)
 
     def test_identical_riders_skip_identically(self):
         solo = self.make_clustered_db().execute_placed(
