@@ -19,8 +19,7 @@ Three execution styles share one code path:
 
 * :meth:`Session.execute` — one query, synchronously;
 * :meth:`Session.submit` / :meth:`Session.gather` — batched, future-style
-  tickets through the concurrent :class:`~repro.sched.QueryScheduler`
-  (:meth:`Session.execute_concurrent` is sugar over exactly this);
+  tickets through the concurrent :class:`~repro.sched.QueryScheduler`;
 * :meth:`Session.serve` — the multi-tenant serving layer
   (:class:`repro.serve.Frontend`): per-tenant token-bucket QoS,
   scatter/gather over sharded tables, and the cross-query result cache.
@@ -133,21 +132,6 @@ class Session:
                                       io_unit_pages=io_unit_pages,
                                       window=window)
 
-    def execute_concurrent(
-            self,
-            runs: Sequence[tuple[Union[Query, str], Union[Placement, str]]],
-            ) -> list[ExecutionReport]:
-        """Run several (query-or-SQL, placement) pairs in one window.
-
-        Sugar over :meth:`submit` + :meth:`gather` — the scheduled path is
-        the one code path for concurrent execution, so these runs get the
-        same admission control and scan sharing a hand-built batch would.
-        """
-        self._check_open()
-        for query_or_sql, placement in runs:
-            self.submit(query_or_sql, placement)
-        return self.gather()
-
     def explain(self, query_or_sql: Union[Query, str],
                 placement: Union[Placement, str] = Placement.SMART) -> str:
         """Render the physical plan for a query or SQL string."""
@@ -255,7 +239,7 @@ class Session:
 
         Queries on the same device pass admission control (bounded
         in-flight executions); concurrently admitted queries over the same
-        table extent share one device-side scan. A single immediate
+        table extent share one device-side scan. A lone immediate
         submission is bit-identical to :meth:`execute`. With serving
         active the cycle additionally applies tenant QoS, the result
         cache, and sharded scatter/gather (use :meth:`gather_batches` for

@@ -417,7 +417,7 @@ def ext_scheduler(
         scheduler.gather()
         window = scheduler.stats["window_seconds"]
         serial = solo.elapsed_seconds * fan_in
-        pages = scheduler.stats["shared_pages_read"] or solo_pages
+        pages = scheduler.stats["shared_pages_read"]
         skipped = scheduler.stats["pages_skipped"]
         rows.append([fan_in, window, serial / window, fan_in / window,
                      pages, fan_in * solo_pages - pages, skipped])

@@ -254,23 +254,6 @@ class Database:
         energy = self.energy_meter.measure(elapsed, host_cpu_core_seconds,
                                            activities)
 
-        snap = snapshots[table.device_name]
-        device = self.device(table.device_name)
-        io = IoStats(
-            pages_read_device=outcome.pages_read,
-            bytes_over_interface=(self._interface_bytes(device)
-                                  - snap["interface_bytes"]),
-            bytes_over_dram_bus=(self._dram_bytes(device)
-                                 - snap["dram_bytes"]),
-            buffer_pool_hits=self.buffer_pool.hits - bp_hits_before,
-            buffer_pool_misses=self.buffer_pool.misses - bp_misses_before,
-            host_writes=self._ftl_host_writes(device) - snap["host_writes"],
-            gc_relocations=(self._ftl_gc_relocations(device)
-                            - snap["gc_relocations"]),
-        )
-        device_cpu = 0.0
-        if isinstance(device, SmartSsd):
-            device_cpu = device.cpu_core_seconds() - snap["cpu_busy"]
         report = ExecutionReport(
             rows=outcome.rows,
             elapsed_seconds=elapsed,
@@ -278,12 +261,11 @@ class Database:
             device_name=table.device_name,
             layout=table.layout.value,
             counters=outcome.counters,
-            io=io,
             energy=energy,
             host_cpu_core_seconds=host_cpu_core_seconds,
-            device_cpu_core_seconds=device_cpu,
-            utilization=self._utilization(device, snap, elapsed,
-                                          host_cpu_core_seconds),
+            **self._measure(table.device_name, snapshots[table.device_name],
+                            (bp_hits_before, bp_misses_before), elapsed,
+                            host_cpu_core_seconds, outcome.pages_read),
         )
         if obs is not None:
             self._absorb_metrics(obs, query, placement, report)
@@ -365,6 +347,31 @@ class Database:
                           **labels).set(value)
 
     # -- accounting helpers ------------------------------------------------------------
+
+    def _measure(self, device_name: str, snap: dict[str, float],
+                 bp_before: tuple[int, int], elapsed: float,
+                 host_cpu_core_seconds: float,
+                 pages_read: int) -> dict[str, Any]:
+        """A report's device-side measurements over one run window."""
+        device = self.device(device_name)
+        io = IoStats(
+            pages_read_device=pages_read,
+            bytes_over_interface=(self._interface_bytes(device)
+                                  - snap["interface_bytes"]),
+            bytes_over_dram_bus=(self._dram_bytes(device)
+                                 - snap["dram_bytes"]),
+            buffer_pool_hits=self.buffer_pool.hits - bp_before[0],
+            buffer_pool_misses=self.buffer_pool.misses - bp_before[1],
+            host_writes=self._ftl_host_writes(device) - snap["host_writes"],
+            gc_relocations=(self._ftl_gc_relocations(device)
+                            - snap["gc_relocations"]),
+        )
+        device_cpu = 0.0
+        if isinstance(device, SmartSsd):
+            device_cpu = device.cpu_core_seconds() - snap["cpu_busy"]
+        return {"io": io, "device_cpu_core_seconds": device_cpu,
+                "utilization": self._utilization(device, snap, elapsed,
+                                                 host_cpu_core_seconds)}
 
     def _busy_snapshot(self, device: Any) -> dict[str, float]:
         now = self.sim.now

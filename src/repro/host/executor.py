@@ -5,10 +5,10 @@ Two placements for the same query:
 * :func:`host_query_process` — the conventional path: heap pages cross the
   host interface into the buffer pool and the page kernels run on the host
   CPU. I/O and compute overlap through a windowed pipeline of I/O units.
-* :func:`smart_query_process` — the pushdown path: the host OPENs a session
-  on the Smart SSD, the device streams pages internally and runs the same
-  kernels on its embedded CPU, and the host drains results with GET polls
-  and CLOSEs the session (paper §3).
+* :func:`execute_many` — the pushdown path, for one query or many: the host
+  OPENs a session on the Smart SSD, the device streams pages internally and
+  runs the same kernels on its embedded CPU, and the host drains results
+  with GET polls and CLOSEs the session (paper §3).
 
 Both are simulation processes; the :class:`~repro.host.db.Database` facade
 spawns them and assembles :class:`~repro.model.report.ExecutionReport`s.
@@ -278,206 +278,15 @@ def _fetch_unit(db: "Database", device: Any, table: Table,
 
 
 # --------------------------------------------------------------------------
-# Pushdown (Smart SSD) execution
-# --------------------------------------------------------------------------
-
-def smart_query_process(db: "Database", query: Query,
-                        io_unit_pages: int = IO_UNIT_PAGES,
-                        window: int = PIPELINE_WINDOW,
-                        retry_policy: Optional[RetryPolicy] = None,
-                        track: Optional[str] = None,
-                        ) -> Generator[Event, None, QueryOutcome]:
-    """Run ``query`` inside the Smart SSD via OPEN/GET/CLOSE.
-
-    Transient device failures (injected program crashes, lost GET replies,
-    dead devices) are retried per ``retry_policy``: lost replies are
-    re-polled with the idempotent ack/resume handshake, crashed sessions are
-    re-OPENed from scratch, and when every pushdown attempt is exhausted the
-    query degrades to :func:`host_query_process` — the paper's conventional
-    path — rather than failing. Deterministic errors (protocol misuse,
-    memory-grant refusals) re-raise immediately, as they always did.
-    """
-    table = db.catalog.table(query.table)
-    device = db.device(table.device_name)
-    obs = db.sim.obs
-    if track is None:
-        track = f"query:{query.name}"
-    if not isinstance(device, SmartSsd):
-        raise PlanError(
-            f"device {table.device_name!r} is not a Smart SSD; "
-            "pushdown impossible")
-    _check_pushdown_safety(db, table)
-
-    arguments: dict[str, Any] = {
-        "query": query,
-        "heap": table.heap,
-        "io_unit_pages": io_unit_pages,
-        "window": window,
-    }
-    if query.join is not None:
-        build_table = db.catalog.table(query.join.build_table)
-        if build_table.device_name != table.device_name:
-            raise PlanError(
-                "pushdown join requires both tables on the same device")
-        _check_pushdown_safety(db, build_table)
-        arguments["build_heap"] = build_table.heap
-        program = "hash_join"
-    elif query.aggregates:
-        program = "aggregate"
-    else:
-        program = "scan_filter"
-
-    policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
-    fault = WorkCounters()  # recovery events, merged into the final outcome
-    ecc_before = _ecc_retries(device)
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            with NULL_SPAN if obs is None else obs.span(
-                    "smart.session", track=track, device=table.device_name,
-                    attempt=attempt):
-                outcome = yield from _pushdown_attempt(
-                    db, device, query, table, program, arguments, policy,
-                    fault, track)
-        except (ProgramCrashError, DeviceTimeoutError) as exc:
-            db.health.record_failure(table.device_name)
-            if attempt < policy.max_session_attempts:
-                fault.session_retries += 1
-                if db.sim.tracer is not None:
-                    db.sim.tracer.mark(
-                        db.sim.now, "session-retry",
-                        f"{table.device_name} attempt {attempt + 1}: {exc}")
-                yield db.sim.timeout(policy.backoff(attempt))
-                continue
-            if not policy.fallback_to_host:
-                raise
-            fault.pushdown_fallbacks += 1
-            if db.sim.tracer is not None:
-                db.sim.tracer.mark(db.sim.now, "pushdown-fallback",
-                                   f"{table.device_name}: {exc}")
-            # Attribute the failed pushdown attempts' ECC retries now; the
-            # host path accounts for its own reads.
-            fault.ecc_retries += _ecc_retries(device) - ecc_before
-            outcome = yield from host_query_process(db, query,
-                                                    io_unit_pages, window,
-                                                    track=track)
-        else:
-            db.health.record_success(table.device_name)
-            fault.ecc_retries += _ecc_retries(device) - ecc_before
-        outcome.counters.add(fault)
-        return outcome
-
-
-def _pushdown_attempt(db: "Database", device: SmartSsd, query: Query,
-                      table: Table, program: str, arguments: dict[str, Any],
-                      policy: RetryPolicy, fault: WorkCounters,
-                      track: str,
-                      ) -> Generator[Event, None, QueryOutcome]:
-    """One OPEN/GET/CLOSE session, with in-session GET retries."""
-    obs = db.sim.obs
-    outcome = QueryOutcome(rows=None)
-    open_span = NULL_SPAN if obs is None else obs.span(
-        "smart.open", track=track, device=table.device_name, program=program)
-    with open_span:
-        session_id = yield from device.open_session(
-            OpenParams(program=program, arguments=arguments))
-        open_span.set(session=session_id)
-
-    payload: list[Any] = []
-    ack = 0
-    get_failures = 0
-    while True:
-        try:
-            get_span = NULL_SPAN if obs is None else obs.span(
-                "smart.get", track=track, session=session_id, ack=ack)
-            with get_span:
-                response = yield from device.get(session_id, ack=ack)
-                get_span.set(seq=response.seq,
-                             bytes=response.payload_nbytes)
-        except DeviceTimeoutError:
-            # The reply was lost in flight; re-poll with the stale ack so
-            # the device retransmits it (GET is idempotent under retry).
-            fault.get_timeouts += 1
-            get_failures += 1
-            if get_failures > policy.max_get_retries:
-                yield from _close_quietly(device, session_id)
-                raise
-            if db.sim.tracer is not None:
-                db.sim.tracer.mark(db.sim.now, "get-retry",
-                                   f"{table.device_name} session={session_id}"
-                                   f" retry={get_failures}")
-            yield db.sim.timeout(policy.backoff(get_failures))
-            continue
-        get_failures = 0
-        ack = response.seq
-        payload.extend(response.payload)
-        if response.status is SessionStatus.FAILED:
-            error = response.error or "unknown device error"
-            yield from _close_quietly(device, session_id)
-            if is_transient_error(error):
-                fault.device_program_crashes += 1
-                raise ProgramCrashError(f"device program failed: {error}")
-            raise ProtocolError(f"device program failed: {error}")
-        if response.status is SessionStatus.DONE and not response.payload:
-            break
-    # Session counters describe work done *inside* the device; grab them
-    # before CLOSE tears the session down.
-    outcome.counters = device.runtime.session(session_id).counters
-    with NULL_SPAN if obs is None else obs.span(
-            "smart.close", track=track, session=session_id):
-        yield from device.close_session(session_id)
-
-    if query.select:
-        payload.sort(key=lambda item: item[0])
-        flat = [chunk for __, chunks in payload for chunk in chunks]
-        build_schema = (db.catalog.table(query.join.build_table).schema
-                        if query.join is not None else None)
-        outcome.rows = _merge_select_chunks(query, flat, table.schema,
-                                            build_schema)
-    else:
-        state = AggState()
-        for tag, partial_state in payload:
-            if tag != "agg":
-                raise ProtocolError(f"unexpected GET payload tag {tag!r}")
-            state.merge(partial_state, query.aggregates)
-        # Final merge/divide happens on the host, but it is a handful of
-        # scalar operations.
-        yield from db.machine.compute(db.costs.page_setup)
-        outcome.rows = _finalize_aggregates(query, state)
-    # NAND pages the device actually read: the extent(s), minus any pages
-    # the scan program's zone-map/Bloom checks skipped.
-    outcome.pages_read = (table.page_count
-                          + (db.catalog.table(query.join.build_table).page_count
-                             if query.join else 0)
-                          - outcome.counters.pages_skipped)
-    return outcome
-
-
-def _close_quietly(device: SmartSsd,
-                   session_id: int) -> Generator[Event, None, None]:
-    """Best-effort CLOSE on an already-doomed session.
-
-    A dead device times out its CLOSE too; swallowing that keeps the
-    original failure as the error the retry loop classifies.
-    """
-    try:
-        yield from device.close_session(session_id)
-    except (DeviceTimeoutError, ProtocolError):
-        pass
-
-
-# --------------------------------------------------------------------------
-# Shared-scan (multi-query) execution
+# Pushdown (Smart SSD) execution: one driver for one query or many
 # --------------------------------------------------------------------------
 
 class SharedScanHandle:
-    """Host-side state of one in-flight shared-scan session.
+    """Host-side state of one device scan and the members it serves.
 
-    The scheduler's leader process pumps the session
-    (:func:`execute_many`); sibling and late-attached queries rendezvous
-    on the handle: they look up the session id once :attr:`opened` fires,
-    issue ATTACH themselves, and wait for their member outcome.
+    :func:`execute_many` pumps the session; late-attached queries
+    rendezvous on the handle: once :attr:`opened` fires they issue ATTACH
+    themselves and wait for their member outcome.
     """
 
     def __init__(self, db: "Database", device: SmartSsd, table: Table):
@@ -485,20 +294,30 @@ class SharedScanHandle:
         self.device = device
         self.table = table
         self.session_id: Optional[int] = None
-        #: Fires once OPEN returned (value: session id).
+        #: Fires once the first OPEN returned (value: session id).
         self.opened = db.sim.event()
         #: Host-side hint mirroring the device's joinability; the device
         #: is authoritative (ATTACH races are refused there).
         self.accepting = True
         self.queries: dict[int, Query] = {}
         self.results: dict[int, tuple[QueryOutcome, float]] = {}
+        #: Recovery events each member lived through, merged into its
+        #: counters when it resolves.
+        self.faults: dict[int, WorkCounters] = {}
         self.stats: Optional[dict] = None
+        self.ecc_start = 0
         self._waiters: dict[int, Event] = {}
         self._error: Optional[BaseException] = None
 
     def expect(self, member: int, query: Query) -> None:
-        """Register a member the session will produce results for."""
+        """Register a member the scan will produce results for."""
         self.queries[member] = query
+        self.faults[member] = WorkCounters()
+
+    def unresolved(self) -> list[int]:
+        """Members still waiting for their outcome, in member order."""
+        return [member for member in self.queries
+                if member not in self.results]
 
     def wait(self, member: int) -> Event:
         """Event yielding ``(outcome, done_at)`` for one member."""
@@ -514,13 +333,14 @@ class SharedScanHandle:
     def resolve(self, member: int, outcome: QueryOutcome,
                 done_at: float) -> None:
         """Record one member's outcome and wake its waiter."""
+        outcome.counters.add(self.faults[member])
         self.results[member] = (outcome, done_at)
         waiter = self._waiters.pop(member, None)
         if waiter is not None:
             waiter.succeed((outcome, done_at))
 
     def fail_pending(self, exc: BaseException) -> None:
-        """Fail every unresolved member wait (the session died)."""
+        """Fail every unresolved member wait (the scan gave up)."""
         self._error = exc
         self.accepting = False
         if not self.opened.triggered:
@@ -531,146 +351,279 @@ class SharedScanHandle:
             waiter.fail(exc)
 
 
+def smart_query_process(db: "Database", query: Query,
+                        io_unit_pages: int = IO_UNIT_PAGES,
+                        window: int = PIPELINE_WINDOW,
+                        retry_policy: Optional[RetryPolicy] = None,
+                        track: Optional[str] = None,
+                        ) -> Generator[Event, None, QueryOutcome]:
+    """Run ``query`` inside the Smart SSD: a one-member device scan."""
+    table = db.catalog.table(query.table)
+    handle = SharedScanHandle(db, db.device(table.device_name), table)
+    outcomes = yield from execute_many(db, handle, [query], io_unit_pages,
+                                       window, retry_policy, track)
+    return outcomes[0]
+
+
 def execute_many(db: "Database", handle: SharedScanHandle,
                  queries: Sequence[Query],
                  io_unit_pages: int = IO_UNIT_PAGES,
                  window: int = PIPELINE_WINDOW,
+                 retry_policy: Optional[RetryPolicy] = None,
                  track: Optional[str] = None,
                  ) -> Generator[Event, None, list[QueryOutcome]]:
-    """Run a batch of same-extent queries through ONE shared-scan session.
+    """Run queries over one extent through the device scan (OPEN/GET/CLOSE).
 
-    OPENs the ``shared_scan`` program with the whole batch, then
-    interleaves host-side retrieval with device rounds: every GET drains
-    per-member result chunks as the circular scan produces them, and each
-    member's rows are merged the moment its ``done`` frame arrives — while
-    the device keeps scanning for the others (and for any query that
-    ATTACHes mid-flight through ``handle``).
+    The one pushdown driver, for one query or many. It OPENs
+    ``shared_scan`` with the batch and drains per-member result frames as
+    the circular scan produces them; a member's rows are merged when its
+    ``done`` frame arrives, while the device keeps scanning for the others
+    (and for queries that ATTACH through ``handle``). A member alone in its
+    session is merged after CLOSE, like the paper's single-query exchange.
 
-    Returns the outcomes of the *initial* members, in ``queries`` order;
-    late-attached members are delivered through ``handle.wait``. Transient
-    device failures propagate to the caller (and to every pending member
-    waiter) — the scheduler's recovery path re-runs members solo, which
-    has its own retry/fallback ladder.
+    Transient failures follow ``retry_policy``: a lost GET reply is
+    re-polled with the idempotent ack/resume handshake, a crashed or
+    unreachable session is re-OPENed for the members it had not finished,
+    and once the attempts are spent those members run
+    :func:`host_query_process` instead. Deterministic errors (protocol
+    misuse, memory-grant refusals, pushdown vetoes) re-raise, to the caller
+    and to every member waiting on ``handle``. Returns the initial members'
+    outcomes in ``queries`` order; attachers get theirs from
+    ``handle.wait``.
     """
     device = handle.device
     table = handle.table
     obs = db.sim.obs
     if track is None:
-        track = f"shared-scan:{table.name}"
-
-    chunk_buffers: dict[int, list[tuple[int, list]]] = {}
-    agg_states: dict[int, AggState] = {}
-    session_id: Optional[int] = None
-    ack = 0
+        track = f"query:{queries[0].name}"
+    policy = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
     try:
+        if not isinstance(device, SmartSsd):
+            raise PlanError(
+                f"device {table.device_name!r} is not a Smart SSD; "
+                "pushdown impossible")
         _check_pushdown_safety(db, table)
-        for query in queries:
-            if query.join is not None:
-                raise PlanError(
-                    f"query {query.name!r} has a join; shared scans serve "
-                    "scan/aggregate queries only")
-
         arguments: dict[str, Any] = {
-            "queries": tuple(queries),
             "heap": table.heap,
             "io_unit_pages": io_unit_pages,
             "window": window,
         }
-        open_span = NULL_SPAN if obs is None else obs.span(
-            "smart.open", track=track, device=table.device_name,
-            program="shared_scan", fan_in=len(queries))
-        with open_span:
-            session_id = yield from device.open_session(
-                OpenParams(program="shared_scan", arguments=arguments))
-            open_span.set(session=session_id)
-        handle.session_id = session_id
+        for query in queries:
+            if query.join is not None:
+                build_table = db.catalog.table(query.join.build_table)
+                if build_table.device_name != table.device_name:
+                    raise PlanError("pushdown join requires both tables on "
+                                    "the same device")
+                _check_pushdown_safety(db, build_table)
+                heap = arguments.setdefault("build_heap", build_table.heap)
+                if heap is not build_table.heap:
+                    raise PlanError("one device scan builds from one "
+                                    "build table")
         for member, query in enumerate(queries):
             handle.expect(member, query)
+        handle.ecc_start = _ecc_retries(device)
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                with NULL_SPAN if obs is None else obs.span(
+                        "smart.session", track=track,
+                        device=table.device_name, attempt=attempt):
+                    yield from _scan_session(db, handle, arguments, policy,
+                                             track, joinable=attempt == 1)
+            except (ProgramCrashError, DeviceTimeoutError) as exc:
+                db.health.record_failure(table.device_name)
+                # Only the first session is joinable: attachers still
+                # waiting for it open a fresh one instead.
+                handle.accepting = False
+                if not handle.opened.triggered:
+                    handle.opened.fail(ProtocolError(
+                        f"shared scan on {table.name!r} not joinable"))
+                members = handle.unresolved()
+                if attempt < policy.max_session_attempts:
+                    for member in members:
+                        handle.faults[member].session_retries += 1
+                    if db.sim.tracer is not None:
+                        db.sim.tracer.mark(
+                            db.sim.now, "session-retry",
+                            f"{table.device_name} attempt {attempt + 1}: "
+                            f"{exc}")
+                    yield db.sim.timeout(policy.backoff(attempt))
+                    continue
+                if not policy.fallback_to_host:
+                    raise
+                if db.sim.tracer is not None:
+                    db.sim.tracer.mark(db.sim.now, "pushdown-fallback",
+                                       f"{table.device_name}: {exc}")
+                # The failed attempts' ECC retries are charged now; the
+                # host path accounts for its own reads.
+                failed_ecc = _ecc_retries(device) - handle.ecc_start
+                for member in members:
+                    handle.faults[member].pushdown_fallbacks += 1
+                    handle.faults[member].ecc_retries += failed_ecc
+                    outcome = yield from host_query_process(
+                        db, handle.queries[member], io_unit_pages, window,
+                        track=track)
+                    handle.resolve(member, outcome, db.sim.now)
+            else:
+                db.health.record_success(table.device_name)
+            break
+    except BaseException as exc:
+        handle.fail_pending(exc)
+        raise
+    return [handle.results[member][0] for member in range(len(queries))]
+
+
+def _scan_session(db: "Database", handle: SharedScanHandle,
+                  arguments: dict[str, Any], policy: RetryPolicy,
+                  track: str, joinable: bool,
+                  ) -> Generator[Event, None, None]:
+    """One OPEN/GET/CLOSE session serving the handle's unresolved members,
+    with in-session GET retries."""
+    device = handle.device
+    obs = db.sim.obs
+    members = handle.unresolved()
+    # A retry session numbers its members afresh; ATTACH only joins the
+    # first session, whose numbering is the handle's.
+    ids = dict(enumerate(members))
+    open_span = NULL_SPAN if obs is None else obs.span(
+        "smart.open", track=track, device=handle.table.device_name,
+        program="shared_scan", fan_in=len(members))
+    with open_span:
+        session_id = yield from device.open_session(OpenParams(
+            program="shared_scan",
+            arguments=dict(arguments, queries=tuple(
+                handle.queries[member] for member in members))))
+        open_span.set(session=session_id)
+    if joinable:
+        handle.session_id = session_id
         handle.opened.succeed(session_id)
 
-        while True:
+    chunk_buffers: dict[int, list[tuple[int, list]]] = {}
+    agg_states: dict[int, AggState] = {}
+    alone = []
+    ack = 0
+    get_failures = 0
+    while True:
+        try:
             get_span = NULL_SPAN if obs is None else obs.span(
                 "smart.get", track=track, session=session_id, ack=ack)
             with get_span:
                 response = yield from device.get(session_id, ack=ack)
                 get_span.set(seq=response.seq,
                              bytes=response.payload_nbytes)
-            ack = response.seq
-            for item in response.payload:
-                tag = item[0]
-                if tag == "chunk":
-                    __, member, position, chunks = item
-                    chunk_buffers.setdefault(member, []).append(
-                        (position, chunks))
-                elif tag == "agg":
-                    __, member, state = item
-                    agg_states[member] = state
-                elif tag == "done":
-                    __, member, counters, info = item
-                    yield from _finish_shared_member(
+        except DeviceTimeoutError:
+            # The reply was lost in flight; re-poll with the stale ack so
+            # the device retransmits it (GET is idempotent under retry).
+            for member in handle.unresolved():
+                handle.faults[member].get_timeouts += 1
+            get_failures += 1
+            if get_failures > policy.max_get_retries:
+                yield from _close_quietly(device, session_id)
+                raise
+            if db.sim.tracer is not None:
+                db.sim.tracer.mark(db.sim.now, "get-retry",
+                                   f"{handle.table.device_name} "
+                                   f"session={session_id} "
+                                   f"retry={get_failures}")
+            yield db.sim.timeout(policy.backoff(get_failures))
+            continue
+        get_failures = 0
+        ack = response.seq
+        for item in response.payload:
+            tag = item[0]
+            if tag == "stats":
+                handle.stats = item[1]
+                continue
+            member = ids.get(item[1], item[1])
+            if tag == "chunk":
+                chunk_buffers.setdefault(member, []).append(
+                    (item[2], item[3]))
+            elif tag == "agg":
+                agg_states[member] = item[2]
+            elif tag == "done":
+                __, __, counters, info = item
+                if info["shared"]:
+                    yield from _finish_member(
                         db, handle, member, counters, info["pages_read"],
                         chunk_buffers.pop(member, []),
                         agg_states.pop(member, None))
-                elif tag == "stats":
-                    handle.stats = item[1]
                 else:
-                    raise ProtocolError(
-                        f"unexpected GET payload tag {tag!r}")
-            if response.status is SessionStatus.FAILED:
-                error = response.error or "unknown device error"
-                yield from _close_quietly(device, session_id)
-                if is_transient_error(error):
-                    raise ProgramCrashError(
-                        f"device program failed: {error}")
-                raise ProtocolError(f"device program failed: {error}")
-            if response.status is SessionStatus.DONE and not response.payload:
-                break
-        handle.accepting = False
-        with NULL_SPAN if obs is None else obs.span(
-                "smart.close", track=track, session=session_id):
-            yield from device.close_session(session_id)
-    except BaseException as exc:
-        handle.fail_pending(exc)
-        if session_id is not None:
+                    alone.append((member, counters, info["pages_read"]))
+            else:
+                raise ProtocolError(f"unexpected GET payload tag {tag!r}")
+        if response.status is SessionStatus.FAILED:
+            error = response.error or "unknown device error"
             yield from _close_quietly(device, session_id)
-        raise
-    return [handle.results[member][0] for member in range(len(queries))]
+            if is_transient_error(error):
+                for member in handle.unresolved():
+                    handle.faults[member].device_program_crashes += 1
+                raise ProgramCrashError(f"device program failed: {error}")
+            raise ProtocolError(f"device program failed: {error}")
+        if response.status is SessionStatus.DONE and not response.payload:
+            break
+    handle.accepting = False
+    with NULL_SPAN if obs is None else obs.span(
+            "smart.close", track=track, session=session_id):
+        yield from device.close_session(session_id)
+    # A member alone in its session is done when the session is.
+    for member, counters, pages_read in alone:
+        yield from _finish_member(db, handle, member, counters, pages_read,
+                                  chunk_buffers.pop(member, []),
+                                  agg_states.pop(member, None))
+        handle.stats = {"fan_in": 1, "pages_read": pages_read,
+                        "saved_page_reads": 0,
+                        "pages_skipped": counters.pages_skipped}
 
 
-def _finish_shared_member(db: "Database", handle: SharedScanHandle,
-                          member: int, counters: WorkCounters,
-                          pages_read: int,
-                          chunk_entries: list[tuple[int, list]],
-                          agg_state: Optional[AggState],
-                          ) -> Generator[Event, None, None]:
+def _finish_member(db: "Database", handle: SharedScanHandle,
+                   member: int, counters: WorkCounters, pages_read: int,
+                   chunk_entries: list[tuple[int, list]],
+                   agg_state: Optional[AggState],
+                   ) -> Generator[Event, None, None]:
     """Merge one member's buffered results into its final outcome."""
     query = handle.queries[member]
     # The member's share of NAND reads: every page the scan read that this
-    # query consumed (a solo scan of it would read exactly these).
+    # query consumed (a scan of it alone would read exactly these).
     outcome = QueryOutcome(rows=None, counters=counters,
                            pages_read=pages_read)
     if query.select:
         chunk_entries.sort(key=lambda entry: entry[0])
         flat = [chunk for __, chunks in chunk_entries for chunk in chunks]
-        outcome.rows = _merge_select_chunks(query, flat, handle.table.schema)
+        build_schema = (db.catalog.table(query.join.build_table).schema
+                        if query.join is not None else None)
+        outcome.rows = _merge_select_chunks(query, flat, handle.table.schema,
+                                            build_schema)
     else:
-        state = agg_state if agg_state is not None else AggState()
-        # Final merge/divide happens on the host, like the solo path.
+        # Final merge/divide happens on the host, but it is a handful of
+        # scalar operations.
         yield from db.machine.compute(db.costs.page_setup)
-        outcome.rows = _finalize_aggregates(query, state)
+        outcome.rows = _finalize_aggregates(
+            query, agg_state if agg_state is not None else AggState())
+    handle.faults[member].ecc_retries += (_ecc_retries(handle.device)
+                                          - handle.ecc_start)
     handle.resolve(member, outcome, db.sim.now)
+
+
+def _close_quietly(device: SmartSsd,
+                   session_id: int) -> Generator[Event, None, None]:
+    """Best-effort CLOSE on an already-doomed session.
+
+    A dead device times out its CLOSE too; swallowing that keeps the
+    original failure as the error the retry loop classifies.
+    """
+    try:
+        yield from device.close_session(session_id)
+    except (DeviceTimeoutError, ProtocolError):
+        pass
 
 
 def attach_to_shared_scan(db: "Database", handle: SharedScanHandle,
                           query: Query,
                           ) -> Generator[Event, None, int]:
-    """ATTACH ``query`` to an in-flight shared scan; returns its member
+    """ATTACH ``query`` to an in-flight device scan; returns its member
     index. Raises :class:`~repro.errors.ProtocolError` when the scan is no
     longer joinable — the caller falls back to a fresh session."""
-    if query.join is not None:
-        raise PlanError(
-            f"query {query.name!r} has a join; shared scans serve "
-            "scan/aggregate queries only")
     if handle.session_id is None:
         yield handle.opened
     if not handle.accepting:

@@ -14,8 +14,8 @@ Validation rejects (reason in parentheses) batches where:
 
 * a lane touched the host buffer pool or left dirty pages — host-path
   work escaped onto shared state (``buffer_pool``);
-* any member fell back to the host or was rescued solo (``host_fallback``,
-  ``rescue``);
+* any member's scan died or was vetoed, or it fell back to the host
+  (``rescue``, ``host_fallback``);
 * two lanes recorded changes on the same cloned resource — the partition
   was not actually independent (``shared_resource``);
 * the lanes' summed host-CPU demand ever exceeds the real core count

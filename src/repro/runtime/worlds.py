@@ -124,7 +124,7 @@ class LaneResult:
     bp_delta: tuple[int, int, int, int]           # hits, misses, evictions, frames
     bp_dirty: bool
     health: dict[str, tuple[int, int, int]]       # device -> health triple
-    rescued: bool                                 # any member re-ran solo
+    rescued: bool                                 # any member's scan died
     pushdown_fallbacks: int
     spans: list = field(default_factory=list)
     metric_series: list = field(default_factory=list)   # (key, kind, payload)

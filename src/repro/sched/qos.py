@@ -82,6 +82,12 @@ class TokenBucket:
         self.granted += 1
         return grant
 
+    def rebase(self, elapsed: float) -> None:
+        """Re-express the bucket's clock against a window origin that lies
+        ``elapsed`` virtual seconds after the previous one (arrival
+        offsets restart at zero in every gather window)."""
+        self.time -= elapsed
+
     @property
     def backlog_seconds(self) -> float:
         """How far the bucket's next grant lags a request arriving now."""

@@ -19,11 +19,11 @@ execution unit, runs the world to completion, and assembles one
 order: each report's elapsed time is that query's own completion time,
 and the energy block (identical on every report) covers the whole window.
 
-Fairness caveats are documented in ``docs/SCHEDULER.md``: late attachers
-bypass admission control (they add marginal work to an already-admitted
-scan rather than a new device session), and shared members' counters are
-marginal-only (the shared stream's work lives on the device session and
-the observability metrics).
+A query alone at its arrival instant runs as a one-member scan, which is
+exactly the solo pushdown. Fairness caveats are documented in
+``docs/SCHEDULER.md``: late attachers bypass admission control (they add
+marginal work to an already-admitted scan rather than a new device
+session).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.host.executor import (
     host_query_process,
     smart_query_process,
 )
-from repro.model.report import ExecutionReport, IoStats
+from repro.model.report import ExecutionReport
 from repro.sim import Resource
 from repro.smart.device import SmartSsd
 from repro.writepath import WriteTicket, write_unit_process
@@ -56,10 +56,9 @@ from repro.writepath import WriteTicket, write_unit_process
 if TYPE_CHECKING:
     from repro.host.db import Database
 
-#: Exceptions after which a shared-scan member is re-run solo (the solo
-#: ladder has its own retry/host-fallback recovery).
-_RESCUE_ERRORS = (ProgramCrashError, DeviceTimeoutError, ProtocolError,
-                  PlanError)
+#: Errors after which a query that tried to ATTACH opens a fresh scan.
+_ATTACH_REFUSALS = (ProgramCrashError, DeviceTimeoutError, ProtocolError,
+                    PlanError)
 
 
 class AdmissionPolicy(Enum):
@@ -125,7 +124,7 @@ class Submission:
     done_at: Optional[float] = None
     shared: bool = False          # served by a multi-query scan
     late_attach: bool = False     # joined an in-flight scan via ATTACH
-    rescued: bool = False         # shared scan died; re-run solo
+    rescued: bool = False         # its scan died or was vetoed
     admission_wait: float = 0.0   # virtual seconds queued for admission
 
 
@@ -219,7 +218,6 @@ class QueryScheduler:
             "fan_in": [],
             "admission_waits": [],
             "max_queue_depth": {},
-            "solo_fast_path": 0,
             "write_submitted": 0,
             "write_rows_changed": 0,
             "write_pages_flushed": 0,
@@ -243,20 +241,6 @@ class QueryScheduler:
             self.stats["write_submitted"] = len(writes)
             self.db.note_world_mutation()
             return self._run(submissions, writes)
-        if len(submissions) == 1 and submissions[0].arrival == 0.0:
-            # Solo fast path: a single immediate submission goes through
-            # the canonical single-query entry point, so its report is
-            # bit-identical to Database.execute_placed.
-            self.stats["solo_fast_path"] = 1
-            submission = submissions[0]
-            report = self.db.execute_placed(
-                submission.query, submission.placement,
-                io_unit_pages=self.config.io_unit_pages,
-                window=self.config.window)
-            submission.resolved = Placement.coerce(report.placement)
-            submission.done_at = self.db.sim.now
-            self.stats["window_seconds"] = report.elapsed_seconds
-            return [report]
         return self._run(submissions)
 
     # -- planning ----------------------------------------------------------
@@ -271,11 +255,6 @@ class QueryScheduler:
         if submission.placement not in (Placement.SMART, Placement.AUTO):
             return False
         if submission.query.join is not None:
-            return False
-        if submission.query.limit is not None:
-            # LIMIT queries run solo so the device-resident top-N operator
-            # can fold them to O(k) tuples; a shared scan would ship every
-            # rider's full qualifying set.
             return False
         table = self.db.catalog.table(submission.query.table)
         return isinstance(self.db.device(table.device_name), SmartSsd)
@@ -403,35 +382,11 @@ class QueryScheduler:
                 done_at: float) -> None:
         submission.outcome = outcome
         submission.done_at = done_at
-
-    def _solo_rescue(self, submission: Submission, track: str,
-                     admitted: bool = True):
-        """Re-run a shared-scan member solo after its session died.
-
-        The solo smart ladder retries transient failures and falls back to
-        the host path by itself; deterministic pushdown vetoes go straight
-        to the host path. ``admitted`` says whether the caller already
-        holds an admission slot for the device (shared-session leaders do;
-        failed late attachers do not).
-        """
-        self.stats["solo_rescues"] += 1
-        submission.rescued = True
-        device_name = self._extent_key(submission)[0]
-        if not admitted:
-            yield from self._admit(device_name, track)
-        try:
-            try:
-                outcome = yield from smart_query_process(
-                    self.db, submission.query, track=track,
-                    **self._unit_kwargs())
-            except PlanError:
-                outcome = yield from host_query_process(
-                    self.db, submission.query, track=track,
-                    **self._unit_kwargs())
-        finally:
-            if not admitted:
-                self._admission[device_name].release()
-        self._record(submission, outcome, self.db.sim.now)
+        if outcome.counters.session_retries \
+                or outcome.counters.pushdown_fallbacks:
+            submission.rescued = True
+        if submission.rescued:
+            self.stats["solo_rescues"] += 1
 
     def _track(self, submission: Submission) -> str:
         return f"query:{submission.query.name}#{submission.index}"
@@ -468,7 +423,7 @@ class QueryScheduler:
                     try:
                         member = yield from attach_to_shared_scan(
                             db, live, submission.query)
-                    except _RESCUE_ERRORS:
+                    except _ATTACH_REFUSALS:
                         remaining.append(submission)
                         continue
                     submission.shared = True
@@ -478,17 +433,11 @@ class QueryScheduler:
                         obs.metrics.counter("sched.late_attaches").inc()
                     attached.append((submission, member))
                 for submission, member in attached:
-                    try:
-                        outcome, done_at = yield live.wait(member)
-                    except _RESCUE_ERRORS:
-                        yield from self._solo_rescue(
-                            submission, self._track(submission),
-                            admitted=False)
-                        continue
+                    outcome, done_at = yield live.wait(member)
                     self._record(submission, outcome, done_at)
                 if not remaining:
                     return
-            # Fresh shared session for whoever could not attach.
+            # Fresh device scan for whoever could not attach.
             wait = yield from self._admit(device_name,
                                           self._track(remaining[0]))
             for submission in remaining:
@@ -497,40 +446,27 @@ class QueryScheduler:
             handle = SharedScanHandle(db, db.device(device_name), table)
             self._live[key] = handle
             try:
-                try:
-                    outcomes = yield from execute_many(
-                        db, handle, [s.query for s in remaining],
-                        track=f"shared-scan:{table.name}"
-                              f"#{remaining[0].index}",
-                        **self._unit_kwargs())
-                finally:
-                    if self._live.get(key) is handle:
-                        del self._live[key]
-                for member, (submission, outcome) in enumerate(
-                        zip(remaining, outcomes)):
+                yield from execute_many(
+                    db, handle, [s.query for s in remaining],
+                    track=f"shared-scan:{table.name}#{remaining[0].index}",
+                    **self._unit_kwargs())
+            except PlanError:
+                # Pushdown vetoed (the buffer pool holds newer pages): the
+                # members run on the host, inside our admission slot.
+                yield sim.all_of([
+                    sim.process(self._host_unit(submission),
+                                name=f"sched-host-{submission.index}")
+                    for submission in remaining])
+            else:
+                for member, submission in enumerate(remaining):
+                    outcome, done_at = handle.results[member]
                     submission.shared = len(handle.queries) > 1
-                    self._record(submission, outcome,
-                                 handle.results[member][1])
+                    self._record(submission, outcome, done_at)
                 if handle.stats is not None:
                     self._absorb_scan_stats(handle.stats)
-            except _RESCUE_ERRORS:
-                # Members the scan resolved before dying keep their
-                # results; the rest re-run solo (inside our admission
-                # slot — the device session is gone, the slot is not).
-                rescued = []
-                for member, submission in enumerate(remaining):
-                    if member in handle.results:
-                        outcome, done_at = handle.results[member]
-                        submission.shared = len(handle.queries) > 1
-                        self._record(submission, outcome, done_at)
-                    else:
-                        rescued.append(sim.process(
-                            self._solo_rescue(submission,
-                                              self._track(submission)),
-                            name=f"sched-rescue-{submission.index}"))
-                if rescued:
-                    yield sim.all_of(rescued)
             finally:
+                if self._live.get(key) is handle:
+                    del self._live[key]
                 self._admission[device_name].release()
         finally:
             if obs is not None:
@@ -540,8 +476,17 @@ class QueryScheduler:
                         late_attach=submission.late_attach,
                         rescued=submission.rescued).finish()
 
+    def _host_unit(self, submission: Submission):
+        """Run a vetoed shared-scan member on the host."""
+        submission.rescued = True
+        outcome = yield from host_query_process(
+            self.db, submission.query, track=self._track(submission),
+            **self._unit_kwargs())
+        self._record(submission, outcome, self.db.sim.now)
+
     def _solo_unit(self, submission: Submission):
-        """Process of one non-shareable submission (host or solo smart)."""
+        """Process of one non-shareable submission: host placement, or a
+        one-member device scan of its own (joins, sharing off)."""
         db = self.db
         sim = db.sim
         obs = sim.obs
@@ -676,6 +621,7 @@ class QueryScheduler:
         snapshots = {name: db._busy_snapshot(device)
                      for name, device in db._devices.items()}
         host_cpu_before = db.machine.cpu_core_seconds()
+        bp_before = (db.buffer_pool.hits, db.buffer_pool.misses)
 
         if self.config.backend == "serial":
             self._execute_units(units)
@@ -706,10 +652,15 @@ class QueryScheduler:
                 device_name=table.device_name,
                 layout=table.layout.value,
                 counters=submission.outcome.counters,
-                io=IoStats(pages_read_device=submission.outcome.pages_read),
                 energy=energy,
                 host_cpu_core_seconds=host_cpu,
                 profile=profile,
+                # Device-side measurements cover the whole window, like
+                # the energy block.
+                **db._measure(table.device_name,
+                              snapshots[table.device_name], bp_before,
+                              window, host_cpu,
+                              submission.outcome.pages_read),
             )
             if obs is not None:
                 db._absorb_metrics(obs, submission.query,

@@ -176,6 +176,8 @@ class Frontend:
         self._pending: list[QueryHandle] = []
         self._sequences: dict[str, int] = {}
         self._submitted_total = 0
+        #: Virtual time the last gather window opened at.
+        self._origin: Optional[float] = None
         for spec in tenants:
             self.register_tenant(spec)
 
@@ -321,6 +323,12 @@ class Frontend:
             span = obs.span("serve.gather", track="serve",
                             queries=len(pending)).__enter__()
 
+        # Arrival offsets count from this window's origin; the buckets
+        # still count from the previous one's.
+        if self._origin is not None:
+            for bucket in self._buckets.values():
+                bucket.rebase(db.sim.now - self._origin)
+        self._origin = db.sim.now
         for handle in sorted(pending, key=lambda h: (h.arrival, h.index)):
             bucket = self._bucket(handle.tenant)
             handle.admitted_at = bucket.admit_at(handle.arrival)

@@ -91,8 +91,10 @@ class TestSpanNesting:
         runs = [(agg_query("c0"), Placement.SMART),
                 (agg_query("c1"), Placement.SMART),
                 (agg_query("c2"), Placement.HOST)]
-        reports = Session(db, SchedulerConfig(
-            share_scans=False)).execute_concurrent(runs)
+        session = Session(db, SchedulerConfig(share_scans=False))
+        for query, placement in runs:
+            session.submit(query, placement)
+        reports = session.gather()
         grouped = db.obs.spans_by_track()
         for track, records in grouped.items():
             assert_properly_nested(records)

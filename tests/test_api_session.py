@@ -91,12 +91,11 @@ class TestSessionFacade:
         with pytest.raises(TypeError, match="Query or a SQL string"):
             session.execute(42)
 
-    def test_execute_concurrent_mixes_sql_and_queries(self):
+    def test_submit_mixes_sql_and_queries(self):
         session = loaded_session()
-        reports = session.execute_concurrent([
-            (agg_query(), Placement.SMART),
-            ("SELECT COUNT(*) AS n FROM t", "host"),
-        ])
+        session.submit(agg_query(), Placement.SMART)
+        session.submit("SELECT COUNT(*) AS n FROM t", "host")
+        reports = session.gather()
         assert len(reports) == 2
         assert [report.placement for report in reports] == ["smart", "host"]
 
@@ -112,6 +111,7 @@ class TestDeprecatedShims:
     def test_database_has_no_legacy_entry_points(self):
         for name in ("execute", "sql", "execute_concurrent"):
             assert not hasattr(Database, name)
+        assert not hasattr(repro.Session, "execute_concurrent")
         # One fleet: nothing array-shaped is exported any more.
         assert not [name for name in dir(repro) + dir(repro.smart)
                     if "Array" in name]

@@ -107,7 +107,9 @@ class TestConcurrentExecution:
 
     def run_batch(self, db, runs):
         session = Session(db, SchedulerConfig(share_scans=False))
-        return session.execute_concurrent(runs)
+        for query, placement in runs:
+            session.submit(query, placement)
+        return session.gather()
 
     def test_results_all_correct(self, schema):
         reports = self.run_batch(make_db(schema),

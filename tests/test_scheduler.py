@@ -77,7 +77,6 @@ class TestSoloFastPath:
         scheduler.submit(agg_query(), "smart")
         via = scheduler.gather()[0]
         assert via.to_json() == direct.to_json()
-        assert scheduler.stats["solo_fast_path"] == 1
 
     def test_window_seconds_set(self):
         scheduler = QueryScheduler(make_db())
@@ -442,9 +441,9 @@ class TestSharedScanSkipping:
         assert report.io.pages_read_device == (
             page_count - report.counters.pages_skipped)
 
-    def test_limit_queries_run_solo(self):
-        # LIMIT queries are excluded from sharing so the device top-N
-        # operator can fold them to O(k) frames.
+    def test_two_limit_queries_share_one_scan(self):
+        # Every member of a shared scan keeps its own device top-N pool,
+        # so LIMIT queries share like any other scan.
         db = self.make_clustered_db()
         scheduler = QueryScheduler(db)
         limited = Query(name="topn", table="t",
@@ -453,7 +452,7 @@ class TestSharedScanSkipping:
         scheduler.submit(limited, "smart")
         scheduler.submit(limited, "smart")
         reports = scheduler.gather()
-        assert scheduler.stats["shared_members"] == 0
+        assert scheduler.stats["shared_members"] == 2
         solo = self.make_clustered_db().execute_placed(limited, "smart")
         for report in reports:
             for name in ("k", "v"):

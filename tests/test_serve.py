@@ -290,6 +290,21 @@ class TestTokenBucket:
         grants = [bucket.admit_at(100.0) for _ in range(3)]
         assert grants == [100.0, 100.0, 101.0]
 
+    def test_bucket_clock_restarts_with_each_gather_window(self):
+        # Arrival offsets count from each window's origin, so a tenant
+        # sending the same arrivals twice is admitted the same way twice.
+        session = repro.Session(build_sharded(2))
+        session.serve(tenants=(TenantSpec("a", rate=8.0, burst=4.0),))
+        admitted = []
+        for _ in range(2):
+            handles = [session.submit(q6_query(year=1993 + i), tenant="a",
+                                      at=at)
+                       for i, at in enumerate((0.0, 1e-3))]
+            session.gather_batches()
+            admitted.append([handle.admitted_at for handle in handles])
+        assert admitted[0] == [0.0, 1e-3]
+        assert admitted[1] == admitted[0]
+
     def test_spec_validation(self):
         with pytest.raises(PlanError, match="rate"):
             TenantSpec("t", rate=0)
@@ -525,7 +540,7 @@ class TestSessionFrontDoor:
         with pytest.raises(ServingError, match="serve"):
             session.gather_batches()
 
-    def test_execute_concurrent_goes_through_scheduler(self):
+    def test_plain_gather_goes_through_scheduler(self):
         session = repro.connect()
         session.db.create_smart_ssd()
         schema = Schema([Column("a", Int32Type())])
@@ -533,8 +548,9 @@ class TestSessionFrontDoor:
         session.create_table("t", schema, Layout.PAX, rows, "smart-ssd")
         count = Query(table="t",
                       aggregates=(AggSpec("count", None, "n"),))
-        reports = session.execute_concurrent([
-            (count, Placement.SMART), (count, Placement.HOST)])
+        session.submit(count, Placement.SMART)
+        session.submit(count, Placement.HOST)
+        reports = session.gather()
         assert [r.placement for r in reports] == ["smart", "host"]
         assert all(r.rows[0]["n"] == 100 for r in reports)
         assert session.scheduler.stats["submitted"] == 2
