@@ -17,9 +17,10 @@ manager::
 
 Three execution styles share one code path:
 
-* :meth:`Session.execute` — one query, synchronously;
+* :meth:`Session.execute` — one query, synchronously: a one-submission
+  window of the concurrent :class:`~repro.sched.QueryScheduler`;
 * :meth:`Session.submit` / :meth:`Session.gather` — batched, future-style
-  tickets through the concurrent :class:`~repro.sched.QueryScheduler`;
+  tickets through the same scheduler;
 * :meth:`Session.serve` — the multi-tenant serving layer
   (:class:`repro.serve.Frontend`): per-tenant token-bucket QoS,
   scatter/gather over sharded tables, and the cross-query result cache.
@@ -124,7 +125,9 @@ class Session:
         """Execute a built :class:`Query` or a SQL string.
 
         ``placement`` is a :class:`Placement` (its wire strings are coerced);
-        ``Placement.AUTO`` defers to the cost-based optimizer.
+        ``Placement.AUTO`` defers to the cost-based optimizer. The query
+        runs in a scheduler window of its own: submissions pending on
+        :attr:`scheduler` stay pending until :meth:`gather`.
         """
         self._check_open()
         return self.db.execute_placed(self._coerce_query(query_or_sql),

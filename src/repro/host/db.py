@@ -8,10 +8,12 @@ catalog, and storage devices — and executes queries with a chosen
 * ``Placement.SMART`` — pushdown through OPEN/GET/CLOSE;
 * ``Placement.AUTO`` — the §4.3-style cost-based optimizer decides.
 
-:meth:`Database.execute_placed` runs one built query; everything else —
-SQL strings, batches, sharded tables, tenants — enters through the
-top-level facade, ``repro.connect() -> Session``, which ends here for a
-single query and in the scheduler/serving layer for many.
+:meth:`Database.execute_placed` runs one built query as a one-submission
+window of the concurrent scheduler (:class:`~repro.sched.QueryScheduler`),
+so one query and a batch share one launcher. Everything else — SQL
+strings, batches, sharded tables, tenants — enters through the top-level
+facade, ``repro.connect() -> Session``, which ends here for a single
+query and in the scheduler/serving layer for many.
 
 Every execution returns an :class:`~repro.model.report.ExecutionReport`
 with the result rows, virtual elapsed time, work counters, I/O stats, and
@@ -34,11 +36,6 @@ from repro.flash.hdd import Hdd, HddSpec
 from repro.flash.ssd import Ssd, SsdSpec
 from repro.host.bufferpool import BufferPool
 from repro.host.catalog import Catalog, Table
-from repro.host.executor import (
-    QueryOutcome,
-    host_query_process,
-    smart_query_process,
-)
 from repro.host.machine import HostMachine, HostSpec
 from repro.model.costs import DEFAULT_COSTS, CycleCosts
 from repro.model.counters import counter_field_names
@@ -199,78 +196,16 @@ class Database:
                        window: Optional[int] = None) -> ExecutionReport:
         """Run a query to completion and account for it (canonical API).
 
+        A one-submission :class:`~repro.sched.QueryScheduler` window: one
+        query is launched, admitted and measured exactly like a batch.
         ``placement`` is a :class:`~repro.engine.plans.Placement`;
         ``Placement.AUTO`` asks the cost-based optimizer (§4.3).
         """
-        placement = Placement.coerce(placement)
-        if placement is Placement.AUTO:
-            from repro.host.optimizer import choose_placement
-            placement = Placement.coerce(
-                choose_placement(self, query).placement)
-
-        table = self.catalog.table(query.table)
-        obs = self.sim.obs
-        start = self.sim.now
-        snapshots = {name: self._busy_snapshot(device)
-                     for name, device in self._devices.items()}
-        host_cpu_before = self.machine.cpu_core_seconds()
-        bp_hits_before = self.buffer_pool.hits
-        bp_misses_before = self.buffer_pool.misses
-
-        track = f"query:{query.name}"
-        kwargs: dict[str, Any] = {"track": track}
-        if io_unit_pages is not None:
-            kwargs["io_unit_pages"] = io_unit_pages
-        if window is not None:
-            kwargs["window"] = window
-        if placement is Placement.HOST:
-            process = host_query_process(self, query, **kwargs)
-        else:
-            process = smart_query_process(self, query, **kwargs)
-        spans_before = 0
-        root_span = None
-        if obs is not None:
-            spans_before = len(obs.spans)
-            root_span = obs.span("query", track=track, query=query.name,
-                                 placement=placement.value,
-                                 table=table.name).__enter__()
-        proc = self.sim.process(process, name=f"query-{query.name}")
-        try:
-            self.sim.run()
-        finally:
-            if root_span is not None:
-                root_span.finish()
-        if not proc.triggered:
-            raise PlanError(f"query {query.name!r} deadlocked")
-        outcome: QueryOutcome = proc.value
-
-        elapsed = self.sim.now - start
-        host_cpu_core_seconds = (self.machine.cpu_core_seconds()
-                                 - host_cpu_before)
-        activities = [
-            self._device_activity(device, snapshots[name])
-            for name, device in self._devices.items()
-        ]
-        energy = self.energy_meter.measure(elapsed, host_cpu_core_seconds,
-                                           activities)
-
-        report = ExecutionReport(
-            rows=outcome.rows,
-            elapsed_seconds=elapsed,
-            placement=placement.value,
-            device_name=table.device_name,
-            layout=table.layout.value,
-            counters=outcome.counters,
-            energy=energy,
-            host_cpu_core_seconds=host_cpu_core_seconds,
-            **self._measure(table.device_name, snapshots[table.device_name],
-                            (bp_hits_before, bp_misses_before), elapsed,
-                            host_cpu_core_seconds, outcome.pages_read),
-        )
-        if obs is not None:
-            self._absorb_metrics(obs, query, placement, report)
-            report.profile = obs.profile(spans_before)
-        return report
+        from repro.sched.scheduler import QueryScheduler, SchedulerConfig
+        scheduler = QueryScheduler(self, SchedulerConfig(
+            io_unit_pages=io_unit_pages, window=window))
+        scheduler.submit(query, placement)
+        return scheduler.gather()[0]
 
     def explain(self, query_or_sql,
                 placement: Union[Placement, str] = Placement.SMART) -> str:

@@ -10,8 +10,10 @@ Two placements for the same query:
   runs the same kernels on its embedded CPU, and the host drains results
   with GET polls and CLOSEs the session (paper §3).
 
-Both are simulation processes; the :class:`~repro.host.db.Database` facade
-spawns them and assembles :class:`~repro.model.report.ExecutionReport`s.
+Both are simulation processes; the scheduler
+(:class:`~repro.sched.QueryScheduler`, whose one-submission window is
+:meth:`~repro.host.db.Database.execute_placed`) spawns them and assembles
+:class:`~repro.model.report.ExecutionReport`s.
 """
 
 from __future__ import annotations
@@ -349,20 +351,6 @@ class SharedScanHandle:
         waiters, self._waiters = self._waiters, {}
         for waiter in waiters.values():
             waiter.fail(exc)
-
-
-def smart_query_process(db: "Database", query: Query,
-                        io_unit_pages: int = IO_UNIT_PAGES,
-                        window: int = PIPELINE_WINDOW,
-                        retry_policy: Optional[RetryPolicy] = None,
-                        track: Optional[str] = None,
-                        ) -> Generator[Event, None, QueryOutcome]:
-    """Run ``query`` inside the Smart SSD: a one-member device scan."""
-    table = db.catalog.table(query.table)
-    handle = SharedScanHandle(db, db.device(table.device_name), table)
-    outcomes = yield from execute_many(db, handle, [query], io_unit_pages,
-                                       window, retry_policy, track)
-    return outcomes[0]
 
 
 def execute_many(db: "Database", handle: SharedScanHandle,

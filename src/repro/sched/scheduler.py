@@ -20,7 +20,8 @@ order: each report's elapsed time is that query's own completion time,
 and the energy block (identical on every report) covers the whole window.
 
 A query alone at its arrival instant runs as a one-member scan, which is
-exactly the solo pushdown. Fairness caveats are documented in
+exactly the solo pushdown; :meth:`~repro.host.db.Database.execute_placed`
+is a window holding one submission. Fairness caveats are documented in
 ``docs/SCHEDULER.md``: late attachers bypass admission control (they add
 marginal work to an already-admitted scan rather than a new device
 session).
@@ -28,7 +29,7 @@ session).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -46,7 +47,6 @@ from repro.host.executor import (
     attach_to_shared_scan,
     execute_many,
     host_query_process,
-    smart_query_process,
 )
 from repro.model.report import ExecutionReport
 from repro.sim import Resource
@@ -124,7 +124,7 @@ class Submission:
     done_at: Optional[float] = None
     shared: bool = False          # served by a multi-query scan
     late_attach: bool = False     # joined an in-flight scan via ATTACH
-    rescued: bool = False         # its scan died or was vetoed
+    rescued: bool = False         # its scan retried a session or fell back
     admission_wait: float = 0.0   # virtual seconds queued for admission
 
 
@@ -263,13 +263,14 @@ class QueryScheduler:
               ) -> list[tuple[str, list[Submission]]]:
         """Group submissions into execution units.
 
-        Returns ``(kind, members)`` units — ``"shared"`` units hold the
-        co-arriving same-extent cliques (singletons included: they run a
-        one-member shared scan, which keeps them joinable by later
-        arrivals); ``"solo"`` units are everything else — ordered by
-        (arrival, admission-policy key, submission index). Spawn order IS
-        admission order: same-instant admission requests are granted in
-        request order.
+        Returns ``(kind, members)`` units — ``"shared"`` units are device
+        scans: the co-arriving same-extent cliques (singletons included:
+        a one-member scan stays joinable by later arrivals) and each
+        unshareable SMART submission alone (a join, or sharing off: a
+        one-member scan not published for ATTACH); ``"solo"`` units are
+        the HOST submissions — ordered by (arrival, admission-policy key,
+        submission index). Spawn order IS admission order: same-instant
+        admission requests are granted in request order.
         """
         from repro.host.optimizer import choose_placement
 
@@ -303,7 +304,9 @@ class QueryScheduler:
                 grouped.update(s.index for s in group)
         for submission in submissions:
             if submission.index not in grouped:
-                units.append(("solo", [submission]))
+                kind = ("shared" if submission.resolved is Placement.SMART
+                        else "solo")
+                units.append((kind, [submission]))
 
         def policy_key(unit: tuple[str, list[Submission]]):
             members = unit[1]
@@ -382,9 +385,8 @@ class QueryScheduler:
                 done_at: float) -> None:
         submission.outcome = outcome
         submission.done_at = done_at
-        if outcome.counters.session_retries \
-                or outcome.counters.pushdown_fallbacks:
-            submission.rescued = True
+        submission.rescued = bool(outcome.counters.session_retries
+                                  or outcome.counters.pushdown_fallbacks)
         if submission.rescued:
             self.stats["solo_rescues"] += 1
 
@@ -392,10 +394,13 @@ class QueryScheduler:
         return f"query:{submission.query.name}#{submission.index}"
 
     def _shared_unit(self, group: list[Submission]):
-        """Leader process of one co-arriving same-extent clique."""
+        """Leader process of one device scan: a co-arriving same-extent
+        clique, or an unshareable submission alone, whose scan neither
+        attaches to nor is published as an ATTACH target."""
         db = self.db
         sim = db.sim
         obs = sim.obs
+        shareable = self._shareable(group[0])
         key = self._extent_key(group[0])
         device_name = key[0]
         arrival = group[0].arrival
@@ -414,7 +419,7 @@ class QueryScheduler:
             # marginal work to an already-admitted scan, so they bypass
             # admission control (see docs/SCHEDULER.md for the fairness
             # trade-off).
-            live = self._live.get(key)
+            live = self._live.get(key) if shareable else None
             remaining = group
             if live is not None and live.accepting:
                 remaining = []
@@ -444,25 +449,18 @@ class QueryScheduler:
                 submission.admission_wait = wait
             table = db.catalog.table(remaining[0].query.table)
             handle = SharedScanHandle(db, db.device(device_name), table)
-            self._live[key] = handle
+            if shareable:
+                self._live[key] = handle
             try:
                 yield from execute_many(
                     db, handle, [s.query for s in remaining],
                     track=f"shared-scan:{table.name}#{remaining[0].index}",
                     **self._unit_kwargs())
-            except PlanError:
-                # Pushdown vetoed (the buffer pool holds newer pages): the
-                # members run on the host, inside our admission slot.
-                yield sim.all_of([
-                    sim.process(self._host_unit(submission),
-                                name=f"sched-host-{submission.index}")
-                    for submission in remaining])
-            else:
                 for member, submission in enumerate(remaining):
                     outcome, done_at = handle.results[member]
                     submission.shared = len(handle.queries) > 1
                     self._record(submission, outcome, done_at)
-                if handle.stats is not None:
+                if shareable and handle.stats is not None:
                     self._absorb_scan_stats(handle.stats)
             finally:
                 if self._live.get(key) is handle:
@@ -476,17 +474,8 @@ class QueryScheduler:
                         late_attach=submission.late_attach,
                         rescued=submission.rescued).finish()
 
-    def _host_unit(self, submission: Submission):
-        """Run a vetoed shared-scan member on the host."""
-        submission.rescued = True
-        outcome = yield from host_query_process(
-            self.db, submission.query, track=self._track(submission),
-            **self._unit_kwargs())
-        self._record(submission, outcome, self.db.sim.now)
-
     def _solo_unit(self, submission: Submission):
-        """Process of one non-shareable submission: host placement, or a
-        one-member device scan of its own (joins, sharing off)."""
+        """Process of one HOST submission."""
         db = self.db
         sim = db.sim
         obs = sim.obs
@@ -505,14 +494,9 @@ class QueryScheduler:
             submission.admission_wait = yield from self._admit(
                 table.device_name, track)
             try:
-                if submission.resolved is Placement.HOST:
-                    outcome = yield from host_query_process(
-                        db, submission.query, track=track,
-                        **self._unit_kwargs())
-                else:
-                    outcome = yield from smart_query_process(
-                        db, submission.query, track=track,
-                        **self._unit_kwargs())
+                outcome = yield from host_query_process(
+                    db, submission.query, track=track,
+                    **self._unit_kwargs())
             finally:
                 self._admission[table.device_name].release()
             self._record(submission, outcome, sim.now)

@@ -38,7 +38,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.host.db import Database
-from repro.host.executor import smart_query_process
+from repro.host.executor import SharedScanHandle, execute_many
 from repro.sim import Simulator, Tracer
 from repro.smart.device import SmartSsdSpec
 from repro.storage import Column, Int32Type, Layout, Schema
@@ -251,8 +251,10 @@ class TestSessionCrash:
         plan.add(SITE_SESSION_CRASH)
         db, __ = make_db(plan)
         policy = RetryPolicy(max_session_attempts=2, fallback_to_host=False)
-        db.sim.process(smart_query_process(db, sum_query(),
-                                           retry_policy=policy))
+        table = db.catalog.table("t")
+        handle = SharedScanHandle(db, db.device("smart-ssd"), table)
+        db.sim.process(execute_many(db, handle, [sum_query()],
+                                    retry_policy=policy))
         with pytest.raises(ProgramCrashError, match="injected crash"):
             db.sim.run()
 

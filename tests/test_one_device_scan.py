@@ -1,11 +1,15 @@
 """One device scan: a solo query is a one-member shared scan.
 
-Every pushdown runs the same device body and the same host driver, so the
-door a query comes in by cannot change what it costs: ``Session.execute``,
-an immediate ``submit`` and a delayed ``submit`` give the same time, rows,
-counters and page count. Members of a multi-query scan split the scan's
-work between them without losing or doubling any of it.
+Every query runs through the same scheduler window (``Session.execute`` is
+a one-submission window) and every pushdown through the same device body
+and host driver, so the door a query comes in by cannot change what it
+costs: ``Session.execute``, an immediate ``submit`` and a delayed
+``submit`` give the same time, rows, counters and page count, on the host,
+on the device and under the optimizer. Members of a multi-query scan split
+the scan's work between them without losing or doubling any of it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -62,9 +66,9 @@ QUERIES = {
 }
 
 
-def via_submit(query, at):
+def via_submit(query, at, placement=Placement.SMART):
     session = repro.Session(make_db())
-    session.submit(query, Placement.SMART, at=at)
+    session.submit(query, placement, at=at)
     (report,) = session.gather()
     return report
 
@@ -89,6 +93,41 @@ def test_three_doors_agree(shape):
         assert report.io.pages_read_device == direct.io.pages_read_device
     # Immediate submission measures the same window as execute does.
     assert now.to_json() == direct.to_json()
+
+
+@pytest.mark.parametrize("placement", [Placement.HOST, Placement.AUTO])
+@pytest.mark.parametrize("shape", sorted(QUERIES))
+def test_three_doors_agree_on_host_and_auto(shape, placement):
+    query = QUERIES[shape]
+    direct = repro.Session(make_db()).execute(query, placement)
+    now = via_submit(query, 0.0, placement)
+    later = via_submit(query, DELAY, placement)
+    for report in (now, later):
+        assert report.placement == direct.placement
+        assert report.elapsed_seconds == direct.elapsed_seconds
+        assert same_rows(report.rows, direct.rows)
+        assert report.counters == direct.counters
+        assert report.io == direct.io
+    # The delayed window's energy and utilization also cover its idle
+    # lead-in, so only the immediate door matches in full.
+    assert now.to_json() == direct.to_json()
+
+
+def test_execute_leaves_pending_submissions_alone():
+    """``execute`` runs a window of its own: a submission queued on the
+    session's scheduler stays pending and unchanged until ``gather``."""
+    session = repro.Session(make_db())
+    query = QUERIES["aggregate"]
+    ticket = session.submit(query, Placement.SMART)
+    before = dataclasses.replace(ticket)
+    session.execute(QUERIES["select"], Placement.SMART)
+    assert session.scheduler.submissions == [ticket]
+    assert ticket == before and ticket.outcome is None
+    (report,) = session.gather()
+    alone = via_submit(query, 0.0)
+    assert report.elapsed_seconds == alone.elapsed_seconds
+    assert same_rows(report.rows, alone.rows)
+    assert report.counters == alone.counters
 
 
 def test_members_split_the_session_work():

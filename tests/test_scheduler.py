@@ -259,6 +259,30 @@ class TestSubmissionValidation:
         assert QueryScheduler(make_db()).gather() == []
 
 
+class TestPushdownVeto:
+    def test_smart_veto_raises_from_gather(self):
+        """Dirty pooled pages veto an explicit SMART submission (§4.3):
+        gather raises, as execute does, instead of rerunning on the host."""
+        db = make_db()
+        db.update_rows("t", Compare(Col("k"), "==", Const(0)), {"v": 1})
+        count = Query(name="count", table="t",
+                      aggregates=(AggSpec("count", None, "n"),))
+        scheduler = QueryScheduler(db)
+        scheduler.submit(count, "smart")
+        with pytest.raises(PlanError, match="dirty"):
+            scheduler.gather()
+        assert scheduler.submissions == []
+        assert scheduler.write_submissions == []
+        db.flush_table("t")
+        ticket = scheduler.submit(count, "smart")
+        (report,) = scheduler.gather()
+        assert report.placement == "smart"
+        assert report.rows == [{"n": 5000}]
+        assert report.io.pages_read_device > 0
+        assert not ticket.rescued
+        assert scheduler.stats["solo_rescues"] == 0
+
+
 class TestObservability:
     def test_scheduled_run_emits_valid_chrome_trace(self):
         """The sched spans ride the chrome-trace export and validate."""

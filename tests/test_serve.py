@@ -565,6 +565,24 @@ class TestSessionFrontDoor:
         session.gather()  # would raise the dirty-page veto if not flushed
         assert handle.done
 
+    def test_unflushed_shard_update_vetoes_served_pushdown(self):
+        session = self.make_session()
+        session.serve()
+        db = session.db
+        db.update_rows("lineitem#0",
+                       Compare(Col("l_quantity"), "<", Const(2500)),
+                       {"l_discount": 0}, bump_version=False)
+        session.submit(q6_query(), tenant="a")
+        with pytest.raises(PlanError, match="dirty"):
+            session.gather()
+        db.flush_table("lineitem#0")
+        handle = session.submit(q6_query(), tenant="a")
+        session.gather()
+        assert handle.done
+        assert handle.report.placement == "smart"
+        for name in db.device_names():
+            assert db.device(name).runtime.open_session_count == 0
+
     def test_serve_metrics_recorded(self):
         session = repro.connect(observability=True)
         for i in range(2):
