@@ -8,8 +8,9 @@ A functional model of the modern SSD the paper's §2 describes:
 * :mod:`repro.flash.ftl` — page-mapping Flash Translation Layer with
   round-robin channel striping and greedy garbage collection.
 * :mod:`repro.flash.controller` — flash memory controller: per-channel
-  interleaving, DMA over the single shared DRAM bus (the serialization the
-  paper identifies as the internal bottleneck), and ECC verification.
+  interleaving (one parallel hold per channel a unit touches), DMA over the
+  single shared DRAM bus (the serialization the paper identifies as the
+  internal bottleneck), and ECC verification.
 * :mod:`repro.flash.interface` — host interface standards (SATA/SAS/PCIe)
   and the Figure-1 bandwidth roadmap.
 * :mod:`repro.flash.ssd` / :mod:`repro.flash.hdd` — the composed devices.

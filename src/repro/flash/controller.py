@@ -5,7 +5,10 @@ The controller is where the paper's two key internal mechanisms live:
 * **Channel/chip interleaving** — a multi-page read is split by channel and
   the channels proceed in parallel, each pipelining array senses across its
   dies (§2: "the flash controller uses chip-level and channel-level
-  interleaving techniques").
+  interleaving techniques"). Each channel a unit touches is one *hold* of
+  that channel for its pages' occupancy; all of a unit's holds start
+  together through :func:`~repro.sim.resources.hold_all`, which posts one
+  release event per hold and runs no process per channel.
 * **Shared DRAM bus** — every page crossing from a channel into device DRAM
   serializes on a single :class:`~repro.sim.resources.Bandwidth` ("all the
   flash channels share access to the DRAM. Hence, data transfers from the
@@ -33,7 +36,8 @@ from repro.faults import SITE_NAND_READ, check_fault
 from repro.flash.ftl import PageMappedFtl
 from repro.flash.geometry import NandGeometry, NandTiming
 from repro.flash.nand import NandArray
-from repro.sim import Bandwidth, Event, Resource, Simulator, seize
+from repro.sim import (Bandwidth, Event, Resource, Simulator, hold_all,
+                       seize)
 
 #: ECC read-retry rounds (re-sense with shifted thresholds) before a page
 #: is declared uncorrectable.
@@ -73,9 +77,11 @@ class FlashController:
     def read_lpns(self, lpns: Sequence[int]) -> Generator[Event, None, list[bytes]]:
         """Timed read of logical pages into device DRAM (one I/O unit).
 
-        Channels work in parallel; the unit's pages then DMA across the
-        shared DRAM bus in one serialized transfer. Returns the page bytes
-        in ``lpns`` order.
+        Every channel the unit touches is held once, for its page count
+        times the per-page read occupancy; the holds run in parallel and the
+        unit waits for the last release. The unit's pages then DMA across
+        the shared DRAM bus in one serialized transfer. Returns the page
+        bytes in ``lpns`` order.
         """
         obs = self.sim.obs
         by_channel: dict[int, int] = defaultdict(int)
@@ -95,16 +101,12 @@ class FlashController:
                                     channel=channel).inc(count)
 
         occupancy = self.timing.channel_occupancy_per_read(self.geometry)
-        channel_jobs = [
-            self.sim.process(
-                seize(self.channels[channel], count * occupancy,
-                      None if obs is None else obs.span(
-                          "nand.read", track=self.channels[channel].name,
-                          pages=count)),
-                name=f"chan{channel}-read")
-            for channel, count in by_channel.items()
-        ]
-        yield self.sim.all_of(channel_jobs)
+        yield hold_all(self.sim, [
+            (self.channels[channel], count * occupancy,
+             None if obs is None else obs.span(
+                 "nand.read", track=self.channels[channel].name,
+                 pages=count))
+            for channel, count in by_channel.items()])
         yield from self._ecc_retry_rounds(ppns, occupancy)
 
         total = len(lpns) * self.geometry.page_nbytes
@@ -123,7 +125,11 @@ class FlashController:
 
     def write_lpns(self, lpns: Sequence[int],
                    pages: Sequence[bytes]) -> Generator[Event, None, None]:
-        """Timed write of logical pages (DRAM -> channels -> NAND)."""
+        """Timed write of logical pages (DRAM -> channels -> NAND).
+
+        One DRAM-bus transfer, then one hold per programmed channel for its
+        page count times the per-page program occupancy, run in parallel.
+        """
         obs = self.sim.obs
         total = len(lpns) * self.geometry.page_nbytes
         if obs is None:
@@ -143,16 +149,12 @@ class FlashController:
             by_channel[write(lpn, data) // pages_per_channel] += 1
 
         occupancy = self.timing.channel_occupancy_per_program(self.geometry)
-        channel_jobs = [
-            self.sim.process(
-                seize(self.channels[channel], count * occupancy,
-                      None if obs is None else obs.span(
-                          "nand.program", track=self.channels[channel].name,
-                          pages=count)),
-                name=f"chan{channel}-write")
-            for channel, count in by_channel.items()
-        ]
-        yield self.sim.all_of(channel_jobs)
+        yield hold_all(self.sim, [
+            (self.channels[channel], count * occupancy,
+             None if obs is None else obs.span(
+                 "nand.program", track=self.channels[channel].name,
+                 pages=count))
+            for channel, count in by_channel.items()])
         if obs is not None:
             for channel, count in by_channel.items():
                 obs.metrics.counter("nand.program.pages",

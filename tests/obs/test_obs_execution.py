@@ -24,7 +24,7 @@ from repro.api import Session
 from repro.engine import AggSpec, Col, Compare, Const, Placement, Query
 from repro.host.db import Database
 from repro.obs import chrome_trace, validate_chrome_trace
-from repro.sched import SchedulerConfig
+from repro.sched import QueryScheduler, SchedulerConfig
 from repro.storage import Column, Int32Type, Layout, Schema
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -113,6 +113,32 @@ class TestSpanNesting:
         session_tracks = [track for track in db.obs.spans_by_track()
                           if track.startswith("smart-ssd:session-")]
         assert session_tracks, "device program spans missing"
+
+
+class TestChannelSpansCoverBusyTime:
+    def test_contended_channel_spans_sum_to_busy_time(self):
+        """Three unshared scans queue on the same flash channels; each
+        channel's root spans still add up to exactly its busy time."""
+        db = make_db(observability=True)
+        scheduler = QueryScheduler(db, SchedulerConfig(share_scans=False))
+        for i in range(3):
+            scheduler.submit(agg_query(f"c{i}"), Placement.SMART)
+        scheduler.gather()
+        now = db.sim.now
+        grouped = db.obs.spans_by_track()
+        handoffs = 0
+        for channel in db.device("smart-ssd").controller.channels:
+            records = grouped.get(channel.name, [])
+            for record in records:
+                assert 0.0 <= record.start <= record.end <= now
+            roots = [record for record in records if record.depth == 0]
+            busy = channel.busy.busy_time(now)
+            assert sum(record.duration for record in roots) == \
+                pytest.approx(busy, rel=1e-12, abs=0.0)
+            handoffs += sum(1 for left, right in zip(roots, roots[1:])
+                            if right.start == left.end)
+        # Queued holds start the instant the previous holder releases.
+        assert handoffs > 0
 
 
 class TestChromeTraceExport:

@@ -225,3 +225,34 @@ class TestEccOncePerCopy:
         assert self.read(sim, controller, [0]) == [cold]
         assert verified == [cold]
         assert controller.ecc_pages_checked == 3
+
+
+class TestEventBudget:
+    """One event per channel hold: an 8-page unit striped over 8 idle
+    channels posts 8 channel releases plus 4 more events (the process
+    start, the channel gate, the DRAM-bus transfer and the process end)."""
+
+    CHANNEL_HOLDS = 8
+    OTHER_EVENTS = 4
+
+    def test_read_unit_event_budget(self):
+        sim, controller, ftl = make_controller(channels=8)
+        load(ftl, 8)
+        before = sim._sequence
+        sim.process(controller.read_lpns(list(range(8))))
+        sim.run()
+        assert sim._sequence - before == self.CHANNEL_HOLDS + self.OTHER_EVENTS
+        occupancy = controller.timing.channel_occupancy_per_read(
+            controller.geometry)
+        dma = 8 * PAGE_SIZE / controller.dram_bus.rate
+        assert sim.now == occupancy + dma
+
+    def test_write_unit_event_budget(self):
+        sim, controller, ftl = make_controller(channels=8)
+        data = [bytes([i]) * PAGE_SIZE for i in range(8)]
+        before = sim._sequence
+        sim.process(controller.write_lpns(list(range(8)), data))
+        sim.run()
+        assert sim._sequence - before == self.CHANNEL_HOLDS + self.OTHER_EVENTS
+        assert all(channel.busy.busy_time(sim.now) > 0
+                   for channel in controller.channels)

@@ -1,9 +1,10 @@
-"""Unit tests for Bandwidth pipes and busy-time accounting."""
+"""Unit tests for Bandwidth pipes, hold_all and busy-time accounting."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Bandwidth, BusyTracker, Simulator
+from repro.sim import (Bandwidth, BusyTracker, Resource, Simulator,
+                       hold_all, seize)
 
 
 def test_bandwidth_single_transfer_time():
@@ -83,6 +84,41 @@ def test_nonpositive_rate_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Bandwidth(sim, 0.0)
+
+
+def test_hold_all_waits_for_the_last_release():
+    sim = Simulator()
+    first, second = Resource(sim, 1), Resource(sim, 1)
+    done = []
+
+    def blocker():
+        yield from seize(second, 2.0)
+
+    def holder():
+        yield hold_all(sim, [(first, 1.0, None), (second, 3.0, None)])
+        done.append(sim.now)
+
+    sim.process(blocker())
+    sim.process(holder())
+    sim.run()
+    # ``second`` is busy until t=2, so its queued hold ends at 2 + 3.
+    assert done == [5.0]
+    assert first.busy.busy_time(sim.now) == 1.0
+    assert second.busy.busy_time(sim.now) == 5.0
+    assert first.in_use == second.in_use == 0
+
+
+def test_hold_all_of_nothing_is_immediate():
+    sim = Simulator()
+    gate = hold_all(sim, [])
+    sim.run()
+    assert gate.ok and sim.now == 0.0
+
+
+def test_hold_all_negative_hold_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative"):
+        hold_all(sim, [(Resource(sim, 1), -1.0, None)])
 
 
 def test_busy_tracker_integral():
