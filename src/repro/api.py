@@ -15,16 +15,16 @@ manager::
             "SELECT sum(l_extendedprice) FROM lineitem",
             placement=repro.Placement.SMART)
 
-Three execution styles share one code path:
+Three execution styles share one code path, for plain and sharded tables:
 
 * :meth:`Session.execute` — one query, synchronously: a one-submission
   window of the concurrent :class:`~repro.sched.QueryScheduler`;
 * :meth:`Session.submit` / :meth:`Session.gather` — batched, future-style
-  tickets through the same scheduler;
+  tickets through the session's one scheduler;
 * :meth:`Session.serve` — the multi-tenant serving layer
-  (:class:`repro.serve.Frontend`): per-tenant token-bucket QoS,
-  scatter/gather over sharded tables, and the cross-query result cache.
-  Once serving is active, ``submit(..., tenant="a")`` returns
+  (:class:`repro.serve.Frontend`) on that same scheduler: per-tenant
+  token-bucket QoS and the cross-query result cache. Once serving is
+  active, ``submit(..., tenant="a")`` returns
   :class:`~repro.serve.QueryHandle` tickets and
   :meth:`Session.gather_batches` yields versioned per-tenant
   :class:`~repro.serve.TenantBatch` results.
@@ -32,6 +32,7 @@ Three execution styles share one code path:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -51,20 +52,21 @@ class Session:
     """A connection-like handle over one simulated database world."""
 
     def __init__(self, db: Database,
-                 scheduler_config: Optional["SchedulerConfig"] = None,
-                 serve_config: Optional["ServeConfig"] = None):
+                 scheduler_config: Optional["SchedulerConfig"] = None):
         self.db = db
         self._scheduler_config = scheduler_config
         self._scheduler: Optional["QueryScheduler"] = None
-        self._serve_config = serve_config
         self._frontend: Optional["Frontend"] = None
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """End the session (idempotent). Further execution calls raise."""
+        """End the session and its scheduler's workers (idempotent).
+        Further execution calls raise."""
         self._closed = True
+        if self._scheduler is not None:
+            self._scheduler.close()
 
     @property
     def closed(self) -> bool:
@@ -137,7 +139,8 @@ class Session:
 
     def explain(self, query_or_sql: Union[Query, str],
                 placement: Union[Placement, str] = Placement.SMART) -> str:
-        """Render the physical plan for a query or SQL string."""
+        """Render the physical plan for a query or SQL string (a sharded
+        table's adds a scatter line above its first shard's plan)."""
         self._check_open()
         return self.db.explain(query_or_sql, placement=placement)
 
@@ -149,8 +152,9 @@ class Session:
         With serving active this is the write-through front door
         (:meth:`repro.serve.Frontend.update`): every shard is updated and
         flushed, and the table version bump invalidates the result cache.
-        Without serving it is the plain buffer-pool update — call
-        :meth:`flush_table` before device pushdown.
+        Without serving it is the plain buffer-pool update of a plain
+        table — call :meth:`flush_table` before device pushdown;
+        :meth:`submit_update` is the door for a sharded one.
         """
         self._check_open()
         if self._frontend is not None:
@@ -171,9 +175,9 @@ class Session:
         scan admission, group-flushed dirty-page write-back, and FTL
         write-amplification accounting on the returned
         :class:`~repro.writepath.WriteTicket`. ``at`` is the arrival
-        offset in virtual seconds. Unlike :meth:`update`, this always
-        goes to the plain scheduler — with serving active, synchronous
-        :meth:`update` remains the write-through front door.
+        offset in virtual seconds. On a sharded table the statement runs
+        one write unit per shard. With serving active it runs in the same
+        window as the served queries.
         """
         self._check_open()
         return self.scheduler.submit_update(table_name, predicate,
@@ -195,16 +199,29 @@ class Session:
         """Activate (or return) the multi-tenant serving layer.
 
         After this, :meth:`submit` routes through the
-        :class:`~repro.serve.Frontend` — per-tenant token-bucket QoS,
-        scatter/gather over sharded tables, cross-query result cache —
-        and :meth:`gather_batches` returns the versioned per-tenant
-        batches.
+        :class:`~repro.serve.Frontend` — per-tenant token-bucket QoS and
+        the cross-query result cache — on the session's own
+        :attr:`scheduler`, and :meth:`gather_batches` returns the
+        versioned per-tenant batches. ``config.backend`` configures that
+        scheduler if it does not exist yet; if it does, with another
+        backend, this raises :class:`~repro.errors.ServingError`.
         """
         self._check_open()
         if self._frontend is None:
             from repro.serve import Frontend
-            self._frontend = Frontend(
-                self.db, config or self._serve_config, tenants=tenants)
+            backend = config.backend if config is not None else None
+            if backend is not None and self._scheduler is None:
+                from repro.sched import SchedulerConfig
+                self._scheduler_config = replace(
+                    self._scheduler_config or SchedulerConfig(),
+                    backend=backend)
+            if backend not in (None, self.scheduler.config.backend):
+                raise ServingError(
+                    f"the session's scheduler already runs the "
+                    f"{self.scheduler.config.backend!r} backend, not "
+                    f"{backend!r}")
+            self._frontend = Frontend(self.db, config, tenants=tenants,
+                                      scheduler=self.scheduler)
         elif config is not None and config is not self._frontend.config:
             raise ServingError(
                 "serving is already active with a different config")
@@ -238,24 +255,25 @@ class Session:
         return self.scheduler.submit(query, placement, at=at)
 
     def gather(self) -> list[ExecutionReport]:
-        """Run every pending :meth:`submit`; reports in submission order.
+        """Run every pending ticket in one window; reports in order.
 
         Queries on the same device pass admission control (bounded
         in-flight executions); concurrently admitted queries over the same
-        table extent share one device-side scan. A lone immediate
-        submission is bit-identical to :meth:`execute`. With serving
-        active the cycle additionally applies tenant QoS, the result
-        cache, and sharded scatter/gather (use :meth:`gather_batches` for
-        the per-tenant view).
+        table extent share one device-side scan; pending
+        :meth:`submit_update` tickets run in the same window. A lone
+        immediate submission is bit-identical to :meth:`execute`. With
+        serving active the cycle additionally applies tenant QoS and the
+        result cache (use :meth:`gather_batches` for the per-tenant view);
+        reports of queries submitted before :meth:`serve` come first.
         """
         self._check_open()
-        if self._frontend is not None and self._frontend.pending_count:
-            batches = self._frontend.gather()
-            handles = [handle for batch in batches.values()
-                       for handle in batch.handles]
-            handles.sort(key=lambda handle: handle.index)
-            return [handle.report for handle in handles]
-        return self.scheduler.gather()
+        if self._frontend is None:
+            return self.scheduler.gather()
+        unserved = list(self.scheduler.submissions)
+        served = sorted((handle for batch in self._frontend.gather().values()
+                         for handle in batch.handles),
+                        key=lambda handle: handle.index)
+        return [ticket.report for ticket in unserved + served]
 
     def gather_batches(self) -> dict[str, "TenantBatch"]:
         """Run every pending serve-submission; batches keyed by tenant.
@@ -274,18 +292,16 @@ class Session:
 
 def connect(config: Optional[DatabaseConfig] = None, *,
             observability: bool = False,
-            scheduler: Optional["SchedulerConfig"] = None,
-            serving: Optional["ServeConfig"] = None) -> Session:
+            scheduler: Optional["SchedulerConfig"] = None) -> Session:
     """Open a fresh simulated world and return a :class:`Session` on it.
 
     ``observability=True`` attaches a :class:`repro.obs.Observability`
     up front, so every subsequent execution records spans and metrics.
     ``scheduler`` configures the session's query scheduler
     (:class:`repro.sched.SchedulerConfig`; default: FIFO admission, 4
-    in-flight per device, scan sharing on). ``serving`` pre-configures
-    the multi-tenant serving layer activated by :meth:`Session.serve`.
+    in-flight per device, scan sharing on).
     """
     db = Database(config)
     if observability:
         db.enable_observability()
-    return Session(db, scheduler_config=scheduler, serve_config=serving)
+    return Session(db, scheduler_config=scheduler)

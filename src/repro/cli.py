@@ -5,7 +5,7 @@ Usage::
     python -m repro list                 # show available experiments
     python -m repro run fig3 table3      # run selected experiments
     python -m repro run all              # run everything
-    python -m repro run fig5 -o results  # also persist tables to a directory
+    python -m repro run fig5 -o results  # also write results/figure_5.txt
     python -m repro trace fig3_q6        # one traced run -> chrome-trace JSON
 
 Experiments run the functional simulation at reduced scale and print
@@ -49,40 +49,53 @@ from repro.bench.figures import (
     table3_energy,
 )
 
-#: Registry: short name -> (description, runner).
-EXPERIMENTS: dict[str, tuple[str, Callable[[], ExperimentResult]]] = {
-    "fig1": ("bandwidth trends (host interface vs SSD-internal)",
+#: Registry: short name -> (output file stem, description, runner). The
+#: stem is the experiment's committed golden under ``results/``; E7 has
+#: no golden and keeps its short name.
+EXPERIMENTS: dict[str, tuple[str, str, Callable[[], ExperimentResult]]] = {
+    "fig1": ("figure_1",
+             "bandwidth trends (host interface vs SSD-internal)",
              fig1_bandwidth_trends),
-    "table2": ("max sequential read bandwidth, 32-page I/Os",
+    "table2": ("table_2", "max sequential read bandwidth, 32-page I/Os",
                table2_sequential_read),
-    "fig3": ("TPC-H Q6 elapsed time, SF-100", fig3_q6),
-    "fig5": ("selection-with-join vs selectivity", fig5_join_selectivity),
-    "fig7": ("TPC-H Q14 elapsed time, SF-100", fig7_q14),
-    "table3": ("energy consumption for Q6", table3_energy),
-    "scan-rows": ("SIGMOD'13 scan sweep, returning rows",
+    "fig3": ("figure_3", "TPC-H Q6 elapsed time, SF-100", fig3_q6),
+    "fig5": ("figure_5", "selection-with-join vs selectivity",
+             fig5_join_selectivity),
+    "fig7": ("figure_7", "TPC-H Q14 elapsed time, SF-100", fig7_q14),
+    "table3": ("table_3", "energy consumption for Q6", table3_energy),
+    "scan-rows": ("sigmod_scan_rows",
+                  "SIGMOD'13 scan sweep, returning rows",
                   sigmod_scan_selectivity),
-    "scan-agg": ("SIGMOD'13 scan sweep, with aggregation",
+    "scan-agg": ("sigmod_scan_agg", "SIGMOD'13 scan sweep, with aggregation",
                  lambda: sigmod_scan_selectivity(aggregate=True)),
-    "tuple-width": ("SIGMOD'13 tuple-width sweep", sigmod_tuple_width),
-    "a1": ("ablation: NSM vs PAX inside the device", ablation_layout),
-    "a2": ("ablation: device cores x DRAM-bus rate",
+    "tuple-width": ("sigmod13_tuple-width_sweep",
+                    "SIGMOD'13 tuple-width sweep", sigmod_tuple_width),
+    "a1": ("ablation_a1", "ablation: NSM vs PAX inside the device",
+           ablation_layout),
+    "a2": ("ablation_a2", "ablation: device cores x DRAM-bus rate",
            ablation_device_hardware),
-    "a3": ("ablation: I/O unit size", ablation_io_unit),
-    "a4": ("ablation: FTL write amplification vs over-provisioning",
+    "a3": ("ablation_a3", "ablation: I/O unit size", ablation_io_unit),
+    "a4": ("ablation_a4",
+           "ablation: FTL write amplification vs over-provisioning",
            ablation_ftl_wear),
-    "a5": ("ablation: pushdown benefit vs host-interface generation",
+    "a5": ("ablation_a5",
+           "ablation: pushdown benefit vs host-interface generation",
            ablation_interface_generation),
-    "e1": ("extension: cost-based pushdown optimizer", ext_optimizer),
-    "e2": ("extension: multi-Smart-SSD array", ext_multi_ssd),
-    "e3": ("extension: concurrent pushdown sessions",
+    "e1": ("extension_e1", "extension: cost-based pushdown optimizer",
+           ext_optimizer),
+    "e2": ("extension_e2", "extension: multi-Smart-SSD array",
+           ext_multi_ssd),
+    "e3": ("extension_e3", "extension: concurrent pushdown sessions",
            ext_concurrent_queries),
-    "e4": ("extension: caching benefit of host execution",
+    "e4": ("extension_e4", "extension: caching benefit of host execution",
            ext_caching_benefit),
-    "e5": ("extension: scheduled batches with cooperative scan sharing",
+    "e5": ("extension_e5",
+           "extension: scheduled batches with cooperative scan sharing",
            ext_scheduler),
-    "e6": ("extension: multi-tenant serving over a sharded fleet",
+    "e6": ("extension_e6",
+           "extension: multi-tenant serving over a sharded fleet",
            ext_serving),
-    "e7": ("extension: HTAP write path (GC policies, DML vs scans)",
+    "e7": ("e7", "extension: HTAP write path (GC policies, DML vs scans)",
            ext_htap),
 }
 
@@ -288,7 +301,7 @@ def cmd_trace(target: str, output: Path | None, jsonl: Path | None,
 def cmd_list(out=sys.stdout) -> int:
     """Print the experiment registry."""
     width = max(len(name) for name in EXPERIMENTS)
-    for name, (description, __) in EXPERIMENTS.items():
+    for name, (__, description, __) in EXPERIMENTS.items():
         print(f"  {name:<{width}}  {description}", file=out)
     return 0
 
@@ -308,7 +321,7 @@ def cmd_run(names: list[str], output_dir: Path | None,
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        __, runner = EXPERIMENTS[name]
+        stem, __, runner = EXPERIMENTS[name]
         started = time.time()
         result = runner()
         elapsed = time.time() - started
@@ -321,10 +334,10 @@ def cmd_run(names: list[str], output_dir: Path | None,
             print(f"[{name}: ran in {elapsed:.1f}s]\n", file=out)
         if output_dir is not None:
             if as_json:
-                (output_dir / f"{name}.json").write_text(
+                (output_dir / f"{stem}.json").write_text(
                     json.dumps(result.to_dict(), indent=2) + "\n")
             else:
-                (output_dir / f"{name}.txt").write_text(
+                (output_dir / f"{stem}.txt").write_text(
                     result.table() + "\n")
     return 0
 

@@ -170,9 +170,14 @@ class ShardedTable:
     @property
     def tuple_count(self) -> int:
         """Logical live tuples (copies of a replicated table count once)."""
+        return self.logical_rows([shard.tuple_count for shard in self.shards])
+
+    def logical_rows(self, per_shard: Sequence[int]) -> int:
+        """Rows of the logical relation from a per-shard count (copies of
+        a replicated table count once)."""
         if self.spec.kind == "replicated":
-            return self.shards[0].tuple_count
-        return sum(shard.tuple_count for shard in self.shards)
+            return per_shard[0]
+        return sum(per_shard)
 
     @property
     def device_names(self) -> tuple[str, ...]:
@@ -322,6 +327,13 @@ class Catalog:
             raise CatalogError(
                 f"unknown sharded table {name!r}; have "
                 f"{sorted(self._sharded)}") from None
+
+    def relation(self, name: str):
+        """The :class:`ShardedTable` or plain :class:`Table` a logical name
+        denotes; raises :class:`~repro.errors.CatalogError` when unknown."""
+        if name in self._sharded:
+            return self._sharded[name]
+        return self.table(name)
 
     def is_sharded(self, name: str) -> bool:
         """True when ``name`` is a logical sharded relation."""

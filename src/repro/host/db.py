@@ -11,9 +11,9 @@ catalog, and storage devices — and executes queries with a chosen
 :meth:`Database.execute_placed` runs one built query as a one-submission
 window of the concurrent scheduler (:class:`~repro.sched.QueryScheduler`),
 so one query and a batch share one launcher. Everything else — SQL
-strings, batches, sharded tables, tenants — enters through the top-level
-facade, ``repro.connect() -> Session``, which ends here for a single
-query and in the scheduler/serving layer for many.
+strings, batches, tenants — enters through the top-level facade,
+``repro.connect() -> Session``, which ends here for a single query and in
+the scheduler/serving layer for many.
 
 Every execution returns an :class:`~repro.model.report.ExecutionReport`
 with the result rows, virtual elapsed time, work counters, I/O stats, and
@@ -158,9 +158,9 @@ class Database:
 
         ``spec`` is a :class:`~repro.host.catalog.ShardSpec` (hash, range,
         round-robin, or replicated); each partition loads as a physical
-        table ``<name>#<i>``. Logical queries over the table go through
-        the serving layer (:mod:`repro.serve`), which scatters them to
-        the shards and merges the partials on the host.
+        table ``<name>#<i>``. The scheduler scatters a logical query over
+        the shards and merges the partials on the host, whichever door
+        the query came in by.
         """
         devices = [self.device(device_name)
                    for device_name in device_names]
@@ -197,8 +197,8 @@ class Database:
         """Run a query to completion and account for it (canonical API).
 
         A one-submission :class:`~repro.sched.QueryScheduler` window: one
-        query is launched, admitted and measured exactly like a batch.
-        ``placement`` is a :class:`~repro.engine.plans.Placement`;
+        query is launched, admitted and measured exactly like a batch (a
+        sharded table's shards included). ``placement`` is a :class:`~repro.engine.plans.Placement`;
         ``Placement.AUTO`` asks the cost-based optimizer (§4.3).
         """
         from repro.sched.scheduler import QueryScheduler, SchedulerConfig
@@ -289,105 +289,82 @@ class Database:
                  pages_read: int) -> dict[str, Any]:
         """A report's device-side measurements over one run window."""
         device = self.device(device_name)
+        delta = self._delta(device, snap)
         io = IoStats(
             pages_read_device=pages_read,
-            bytes_over_interface=(self._interface_bytes(device)
-                                  - snap["interface_bytes"]),
-            bytes_over_dram_bus=(self._dram_bytes(device)
-                                 - snap["dram_bytes"]),
+            bytes_over_interface=delta["interface_bytes"],
+            bytes_over_dram_bus=delta["dram_bytes"],
             buffer_pool_hits=self.buffer_pool.hits - bp_before[0],
             buffer_pool_misses=self.buffer_pool.misses - bp_before[1],
-            host_writes=self._ftl_host_writes(device) - snap["host_writes"],
-            gc_relocations=(self._ftl_gc_relocations(device)
-                            - snap["gc_relocations"]),
+            host_writes=delta["host_writes"],
+            gc_relocations=delta["gc_relocations"],
         )
-        device_cpu = 0.0
-        if isinstance(device, SmartSsd):
-            device_cpu = device.cpu_core_seconds() - snap["cpu_busy"]
-        return {"io": io, "device_cpu_core_seconds": device_cpu,
-                "utilization": self._utilization(device, snap, elapsed,
+        return {"io": io, "device_cpu_core_seconds": delta["cpu_busy"],
+                "utilization": self._utilization(device, delta, elapsed,
                                                  host_cpu_core_seconds)}
 
     def _busy_snapshot(self, device: Any) -> dict[str, float]:
         now = self.sim.now
         ftl = getattr(device, "ftl", None)  # the HDD has no FTL
-        snap = {
+        hdd = isinstance(device, Hdd)
+        # For the HDD the actuator *is* the transfer path.
+        transfer = (device.actuator if hdd
+                    else device.interface).busy.busy_time(now)
+        dram = 0.0 if hdd else device.controller.dram_bus.busy.busy_time(now)
+        return {
             "interface_bytes": self._interface_bytes(device),
             "dram_bytes": self._dram_bytes(device),
             "host_writes": 0 if ftl is None else ftl.stats.host_writes,
             "gc_relocations": 0 if ftl is None else ftl.stats.gc_relocations,
-            "io_busy": self._io_busy(device),
-            # For the HDD the actuator *is* the transfer path.
-            "interface_busy": (device.actuator.busy.busy_time(now)
-                               if isinstance(device, Hdd)
-                               else device.interface.busy.busy_time(now)),
-            "dram_busy": (0.0 if isinstance(device, Hdd) else
-                          device.controller.dram_bus.busy.busy_time(now)),
-            "cpu_busy": 0.0,
+            "io_busy": transfer if hdd else max(dram, transfer),
+            "interface_busy": transfer,
+            "dram_busy": dram,
+            "cpu_busy": (device.cpu.busy.busy_time(now)
+                         if isinstance(device, SmartSsd) else 0.0),
         }
-        if isinstance(device, SmartSsd):
-            snap["cpu_busy"] = device.cpu.busy.busy_time(now)
-        return snap
 
-    def _utilization(self, device: Any, snap: dict[str, float],
+    def _delta(self, device: Any, snap: dict[str, float]) -> dict[str, float]:
+        """How far each :meth:`_busy_snapshot` counter moved since ``snap``."""
+        after = self._busy_snapshot(device)
+        return {name: after[name] - snap[name] for name in snap}
+
+    def _utilization(self, device: Any, delta: dict[str, float],
                      elapsed: float,
                      host_cpu_core_seconds: float) -> dict[str, float]:
         """Average per-resource utilization over one run window."""
         if elapsed <= 0:
             return {}
-        now = self.sim.now
-        transfer_busy = (device.actuator.busy.busy_time(now)
-                         if isinstance(device, Hdd)
-                         else device.interface.busy.busy_time(now))
         util = {
             "host-cpu": (host_cpu_core_seconds
                          / (elapsed * self.config.host.cpu.cores)),
-            "interface": (transfer_busy - snap["interface_busy"]) / elapsed,
+            "interface": delta["interface_busy"] / elapsed,
         }
         if not isinstance(device, Hdd):
-            util["dram-bus"] = (
-                (device.controller.dram_bus.busy.busy_time(now)
-                 - snap["dram_busy"]) / elapsed)
+            util["dram-bus"] = delta["dram_busy"] / elapsed
         if isinstance(device, SmartSsd):
-            util["device-cpu"] = (
-                (device.cpu.busy.busy_time(now) - snap["cpu_busy"])
-                / (elapsed * device.cpu_spec.cores))
+            util["device-cpu"] = (delta["cpu_busy"]
+                                  / (elapsed * device.cpu_spec.cores))
         return util
 
     def _interface_bytes(self, device: Any) -> int:
         return device.interface.bytes_moved
-
-    def _ftl_host_writes(self, device: Any) -> int:
-        ftl = getattr(device, "ftl", None)
-        return 0 if ftl is None else ftl.stats.host_writes
-
-    def _ftl_gc_relocations(self, device: Any) -> int:
-        ftl = getattr(device, "ftl", None)
-        return 0 if ftl is None else ftl.stats.gc_relocations
 
     def _dram_bytes(self, device: Any) -> int:
         if isinstance(device, Hdd):
             return 0
         return device.controller.dram_bus.bytes_moved
 
-    def _io_busy(self, device: Any) -> float:
-        now = self.sim.now
-        if isinstance(device, Hdd):
-            return device.actuator.busy.busy_time(now)
-        return max(device.controller.dram_bus.busy.busy_time(now),
-                   device.interface.busy.busy_time(now))
-
     def _device_activity(self, device: Any,
                          snap: dict[str, float]) -> DeviceActivity:
         power = device.spec.power
+        delta = self._delta(device, snap)
         activity = DeviceActivity(
             name=device.spec.name,
             idle_w=power.idle_w,
             active_delta_w=power.active_w - power.idle_w,
-            io_busy_seconds=self._io_busy(device) - snap["io_busy"],
+            io_busy_seconds=delta["io_busy"],
         )
         if isinstance(device, SmartSsd):
             activity.cpu_active_delta_w = device.cpu_spec.active_delta_w
-            activity.cpu_busy_core_seconds = (
-                device.cpu.busy.busy_time(self.sim.now) - snap["cpu_busy"])
+            activity.cpu_busy_core_seconds = delta["cpu_busy"]
         return activity

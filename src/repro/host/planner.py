@@ -4,8 +4,8 @@ Rendering: textual versions of the paper's Figures 4 and 6 — the host
 collecting output from a device-resident subtree of scan / filter /
 hash-join / aggregate operators (:func:`explain`).
 
-Scatter/gather: the serving layer's planner (:func:`plan_scatter`)
-rewrites one logical :class:`~repro.engine.plans.Query` over a
+Scatter/gather: the scheduler's planner (:func:`plan_scatter`) rewrites
+one logical :class:`~repro.engine.plans.Query` over a
 :class:`~repro.host.catalog.ShardedTable` into per-shard pushdowns — one
 physical query per participating device, ``finalize`` stripped so shards
 return raw mergeable partials — plus the host-side recombination
@@ -34,7 +34,18 @@ if TYPE_CHECKING:
 
 
 def explain(db: "Database", query: Query, placement: str = "smart") -> str:
-    """Render the physical plan as an indented operator tree."""
+    """Render the physical plan as an indented operator tree.
+
+    A sharded table's plan is one scatter line (fan-out and pruned shards)
+    above the plan of the first shard that runs.
+    """
+    if db.catalog.is_sharded(query.table):
+        plan = plan_scatter(db, query)
+        return (f"{query.name} (scatter over {plan.sharded.spec.kind} "
+                f"table {query.table}: fan-out {plan.fan_out} of "
+                f"{len(plan.sharded.shards)} shards, pruned "
+                f"{list(plan.pruned_shards)})\n"
+                + explain(db, plan.shard_queries[0], placement))
     table = db.catalog.table(query.table)
     side = "DEVICE" if placement == "smart" else "HOST"
     lines = [f"{query.name} (placement={placement}, "
@@ -129,7 +140,8 @@ def plan_scatter(db: "Database", query: Query) -> ScatterPlan:
     *before* host finalization, or AVG-style recombinations would be
     computed per shard. Range-sharded tables drop shards whose key
     interval provably cannot satisfy the predicate (the shard-level
-    analogue of the device's zone-map pruning).
+    analogue of the device's zone-map pruning). A replicated table is
+    read from one copy, shard 0: every copy holds every row.
     """
     sharded = db.catalog.sharded(query.table)
     build_schema = None
@@ -149,7 +161,9 @@ def plan_scatter(db: "Database", query: Query) -> ScatterPlan:
         build_schema = build.schema
     kept: list[int] = []
     pruned: list[int] = []
-    for index in range(len(sharded.shards)):
+    candidates = (1 if sharded.spec.kind == "replicated"
+                  else len(sharded.shards))
+    for index in range(candidates):
         bounds = sharded.shard_key_range(index)
         if bounds is not None and not _shard_might_match(
                 query.predicate, sharded.spec.key, *bounds):

@@ -21,15 +21,17 @@ and the energy block (identical on every report) covers the whole window.
 
 A query alone at its arrival instant runs as a one-member scan, which is
 exactly the solo pushdown; :meth:`~repro.host.db.Database.execute_placed`
-is a window holding one submission. Fairness caveats are documented in
-``docs/SCHEDULER.md``: late attachers bypass admission control (they add
-marginal work to an already-admitted scan rather than a new device
-session).
+is a window holding one submission. A sharded table's query runs one
+submission per shard (:func:`~repro.host.planner.plan_scatter`), merged
+back into one report; its UPDATE runs one write unit per shard. Fairness
+caveats are documented in ``docs/SCHEDULER.md``: late attachers bypass
+admission control (they add marginal work to an already-admitted scan
+rather than a new device session).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -39,7 +41,9 @@ from repro.errors import (
     PlanError,
     ProgramCrashError,
     ProtocolError,
+    ShardUnavailable,
 )
+from repro.host.catalog import ShardedTable
 from repro.host.dml import validate_update
 from repro.host.executor import (
     QueryOutcome,
@@ -48,6 +52,8 @@ from repro.host.executor import (
     execute_many,
     host_query_process,
 )
+from repro.host.planner import ScatterPlan, merge_scatter_rows, plan_scatter
+from repro.model.counters import WorkCounters
 from repro.model.report import ExecutionReport
 from repro.sim import Resource
 from repro.smart.device import SmartSsd
@@ -112,12 +118,19 @@ class SchedulerConfig:
 
 @dataclass
 class Submission:
-    """One submitted query: the ticket :meth:`QueryScheduler.submit` returns."""
+    """One submitted query: the ticket :meth:`QueryScheduler.submit` returns.
 
-    index: int
+    A sharded table's submission carries its scatter ``plan``; gather runs
+    its ``shards`` and merges them into this ticket's ``report`` (for
+    aggregates, over the submitted query's ``finalize``). A plain table's
+    submission runs as itself.
+    """
+
+    index: int                    # position in the window's execution order
     query: Query
     placement: Placement
     arrival: float
+    plan: Optional[ScatterPlan] = None
     # Filled in by gather():
     resolved: Optional[Placement] = None
     outcome: Optional[QueryOutcome] = None
@@ -126,6 +139,19 @@ class Submission:
     late_attach: bool = False     # joined an in-flight scan via ATTACH
     rescued: bool = False         # its scan retried a session or fell back
     admission_wait: float = 0.0   # virtual seconds queued for admission
+    report: Optional[ExecutionReport] = None
+    shards: list["Submission"] = field(default_factory=list)
+
+    def split(self, first: int) -> list["Submission"]:
+        """The physical submissions this one runs as, numbered from
+        ``first``: itself for a plain table, its shards for a sharded one."""
+        if self.plan is None:
+            self.index = first
+            return [self]
+        self.shards = [Submission(first + i, query, self.placement,
+                                  self.arrival)
+                       for i, query in enumerate(self.plan.shard_queries)]
+        return self.shards
 
 
 class QueryScheduler:
@@ -170,12 +196,29 @@ class QueryScheduler:
                 f"submit takes a Query, got {type(query).__name__}")
         if at < 0:
             raise PlanError(f"negative arrival offset: {at}")
-        self.db.catalog.table(query.table)  # validate early
+        self.check_table(query.table)
+        plan = (plan_scatter(self.db, query)
+                if self.db.catalog.is_sharded(query.table) else None)
         submission = Submission(index=len(self.submissions), query=query,
                                 placement=Placement.coerce(placement),
-                                arrival=float(at))
+                                arrival=float(at), plan=plan)
         self.submissions.append(submission)
         return submission
+
+    def check_table(self, name: str):
+        """The plain or sharded table ``name`` denotes; raises
+        :class:`~repro.errors.CatalogError` when unknown and
+        :class:`~repro.errors.ShardUnavailable` when a shard's device is
+        detached."""
+        relation = self.db.catalog.relation(name)
+        if isinstance(relation, ShardedTable):
+            attached = self.db.device_names()
+            for index, device in enumerate(relation.device_names):
+                if device not in attached:
+                    raise ShardUnavailable(
+                        f"shard {index} of {name!r} lives on device "
+                        f"{device!r}, which is not attached")
+        return relation
 
     def submit_update(self, table_name: str, predicate, assignments,
                       at: float = 0.0) -> WriteTicket:
@@ -188,10 +231,12 @@ class QueryScheduler:
         the run. Write tickets do not occupy report slots — ``gather``
         still returns exactly one report per query submission. The whole
         statement is checked here (:func:`~repro.host.dml.validate_update`),
-        so a bad column or literal raises at submit, not inside gather.
+        so a bad column or literal raises at submit, not inside gather. A
+        sharded table's statement runs one unit per shard (or copy); the
+        ticket counts logical rows and the version rises once.
         """
-        table = self.db.catalog.table(table_name)  # validate early
-        validate_update(table.schema, predicate, assignments)
+        validate_update(self.check_table(table_name).schema, predicate,
+                        assignments)
         if at < 0:
             raise PlanError(f"negative arrival offset: {at}")
         ticket = WriteTicket(windex=len(self.write_submissions),
@@ -230,18 +275,55 @@ class QueryScheduler:
 
         Pending write tickets (:meth:`submit_update`) run in the same
         window, through their own per-device admission gate; their results
-        land on the tickets, not in the returned report list.
+        land on the tickets, not in the returned report list. Raises
+        :class:`~repro.errors.ShardUnavailable` (chained to the
+        :class:`~repro.errors.DeviceTimeoutError`) when a shard's device
+        answers neither pushdown nor block reads.
         """
         submissions, self.submissions = self.submissions, []
         writes, self.write_submissions = self.write_submissions, []
         if not submissions and not writes:
             return []
-        self.stats = self._fresh_stats(len(submissions))
+        # Shards take consecutive positions in submission order.
+        runs: list[Submission] = []
+        for submission in submissions:
+            runs.extend(submission.split(len(runs)))
+        units: list[WriteTicket] = []
+        for ticket in writes:
+            units.extend(ticket.split(self.db.catalog, len(units)))
+        self.stats = self._fresh_stats(len(runs))
         if writes:
             self.stats["write_submitted"] = len(writes)
             self.db.note_world_mutation()
-            return self._run(submissions, writes)
-        return self._run(submissions)
+        try:
+            self._run(submissions, runs, units)
+        except DeviceTimeoutError as exc:
+            # A shard whose device answers neither pushdown nor block
+            # reads has no replica to fall back on: name it.
+            for submission in submissions:
+                for shard in submission.shards:
+                    if shard.done_at is None:
+                        table = self.db.catalog.table(shard.query.table)
+                        raise ShardUnavailable(
+                            f"shard {table.name!r} of "
+                            f"{submission.query.table!r} on device "
+                            f"{table.device_name!r} is unreachable: {exc}"
+                        ) from exc
+            raise
+        finally:
+            # Each statement that changed rows raises its logical table
+            # version once, after all of its units ran (or the window
+            # failed): no cache entry binds a half-written version.
+            for ticket in writes:
+                if ticket.shards:
+                    ticket.absorb(self.db.catalog)
+                if ticket.rows_changed:
+                    self.db.catalog.bump_version(ticket.table)
+            self.stats["write_rows_changed"] = sum(
+                ticket.rows_changed for ticket in writes)
+            self.stats["write_pages_flushed"] = sum(
+                ticket.pages_flushed for ticket in writes)
+        return [submission.report for submission in submissions]
 
     # -- planning ----------------------------------------------------------
 
@@ -586,13 +668,13 @@ class QueryScheduler:
 
     # -- window accounting -------------------------------------------------
 
-    def _run(self, submissions: list[Submission],
-             writes: list[WriteTicket] = (),
-             ) -> list[ExecutionReport]:
+    def _run(self, submissions: list[Submission], runs: list[Submission],
+             writes: list[WriteTicket]) -> None:
+        """Run one window of physical ``runs``; report every submission."""
         db = self.db
         sim = db.sim
         obs = sim.obs
-        units = self._plan(submissions)
+        units = self._plan(runs)
         if writes:
             # Write units join the batch after the policy-sorted scan
             # units; their own ordering is (arrival, submission order).
@@ -618,17 +700,11 @@ class QueryScheduler:
                       for name, device in db._devices.items()]
         energy = db.energy_meter.measure(window, host_cpu, activities)
         self.stats["window_seconds"] = window
-        if writes:
-            self.stats["write_rows_changed"] = sum(
-                ticket.rows_changed for ticket in writes)
-            self.stats["write_pages_flushed"] = sum(
-                ticket.pages_flushed for ticket in writes)
 
         profile = obs.profile(spans_before) if obs is not None else None
-        reports = []
-        for submission in submissions:
+        for submission in runs:
             table = db.catalog.table(submission.query.table)
-            report = ExecutionReport(
+            submission.report = ExecutionReport(
                 rows=submission.outcome.rows,
                 elapsed_seconds=(submission.done_at - start
                                  - submission.arrival),
@@ -648,6 +724,31 @@ class QueryScheduler:
             )
             if obs is not None:
                 db._absorb_metrics(obs, submission.query,
-                                   submission.resolved, report)
-            reports.append(report)
-        return reports
+                                   submission.resolved, submission.report)
+        for submission in submissions:
+            if submission.plan is not None:
+                self._merge_shards(submission, start)
+
+    @staticmethod
+    def _merge_shards(submission: Submission, start: float) -> None:
+        """Fold a sharded submission's shard reports into its own."""
+        reports = [shard.report for shard in submission.shards]
+        rows = merge_scatter_rows(submission.plan,
+                                  [report.rows for report in reports])
+        counters = WorkCounters()
+        for report in reports:
+            counters.add(report.counters)
+        submission.resolved = submission.shards[0].resolved
+        submission.done_at = max(shard.done_at for shard in submission.shards)
+        devices = dict.fromkeys(report.device_name for report in reports)
+        submission.report = ExecutionReport(
+            rows=rows,
+            elapsed_seconds=submission.done_at - start - submission.arrival,
+            placement=reports[0].placement,
+            device_name=",".join(devices),
+            layout=reports[0].layout,
+            counters=counters,
+            energy=reports[0].energy,
+            host_cpu_core_seconds=reports[0].host_cpu_core_seconds,
+            profile=reports[0].profile,
+        )

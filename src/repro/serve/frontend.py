@@ -1,7 +1,8 @@
-"""The serving front door: tenants, admission, scatter/gather, caching.
+"""The serving front door: tenants, QoS admission, result caching.
 
-:class:`Frontend` is the production-shaped entry point over a sharded
-Smart SSD fleet. One gather cycle:
+:class:`Frontend` is the multi-tenant layer over a
+:class:`~repro.sched.scheduler.QueryScheduler` — the session's own
+scheduler when :meth:`repro.Session.serve` builds it. One gather cycle:
 
 1. **QoS admission** — every pending query, in ``(arrival, submission)``
    order, draws a token from its tenant's
@@ -11,15 +12,14 @@ Smart SSD fleet. One gather cycle:
 2. **Cache probe** — each query's canonical key (current table versions
    included) is looked up in the :class:`~repro.serve.cache.ResultCache`;
    hits are answered without touching a device.
-3. **Scatter** — misses over sharded tables are rewritten by
-   :func:`repro.host.planner.plan_scatter` into per-shard pushdowns
-   (range-pruned shards skipped) and submitted to the PR4
-   :class:`~repro.sched.scheduler.QueryScheduler`, which runs every shard
-   of every query concurrently in one simulated batch — shared scans,
-   per-device admission control, and ATTACH piggybacking all still apply.
-4. **Gather** — per-shard partials merge on the host (exact aggregate
-   recombination, top-N re-merge, DISTINCT union), results are cached,
-   and each tenant receives a versioned :class:`TenantBatch`.
+3. **Run** — misses are submitted to the scheduler, which runs them in one
+   window beside whatever else is pending there (untagged queries, write
+   tickets): it scatters a sharded table's query over its shards and
+   merges the partials back (see :mod:`repro.sched.scheduler`).
+4. **Deliver** — misses run with ``finalize`` stripped, so each report
+   carries the merged pre-finalize partials: their ``AggState`` is cached
+   and finalized here, and each tenant receives a versioned
+   :class:`TenantBatch`.
 
 Writes go through :meth:`Frontend.update`: write-through (update +
 flush, so the device copy is never stale for pushdown) plus a catalog
@@ -31,33 +31,17 @@ fixed workload replays bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Union
 
 from repro.engine.plans import Placement, Query
-from repro.errors import (
-    AdmissionRejected,
-    CatalogError,
-    DeviceTimeoutError,
-    PlanError,
-    ServingError,
-    ShardUnavailable,
-)
+from repro.errors import AdmissionRejected, PlanError, ServingError
+from repro.host.catalog import ShardedTable
 from repro.host.executor import _finalize_aggregates
-from repro.host.planner import (
-    ScatterPlan,
-    merge_scatter_rows,
-    merge_scatter_state,
-    plan_scatter,
-)
-from repro.model.counters import WorkCounters
+from repro.host.planner import merge_scatter_state
 from repro.model.report import ExecutionReport
 from repro.sched.qos import TenantSpec, TokenBucket
-from repro.sched.scheduler import (
-    QueryScheduler,
-    SchedulerConfig,
-    Submission,
-)
+from repro.sched.scheduler import QueryScheduler, SchedulerConfig
 from repro.serve.cache import MISS, ResultCache, cache_key
 
 
@@ -65,7 +49,6 @@ from repro.serve.cache import MISS, ResultCache, cache_key
 class ServeConfig:
     """Tunables of one :class:`Frontend`."""
 
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     #: Serve repeat queries from the cross-query result cache.
     cache_enabled: bool = True
     cache_capacity: int = 256
@@ -79,11 +62,10 @@ class ServeConfig:
     #: Queries one tenant may hold pending before :meth:`Frontend.submit`
     #: raises :class:`~repro.errors.AdmissionRejected`.
     max_queue_per_tenant: int = 1024
-    #: Execution backend for the device batch — ``"serial"``,
-    #: ``"thread"``, or ``"process"`` (see :mod:`repro.runtime`). ``None``
-    #: uses whatever the ``scheduler`` config says. All backends produce
-    #: bit-identical results; parallel ones trade worker setup for
-    #: wall-clock when shards live on distinct devices.
+    #: Backend (``"serial"``, ``"thread"`` or ``"process"``, see
+    #: :mod:`repro.runtime`) of the scheduler the frontend or
+    #: :meth:`repro.Session.serve` builds; ``None`` keeps the scheduler's
+    #: own. Every backend gives bit-identical results.
     backend: Optional[str] = None
 
 
@@ -141,37 +123,24 @@ class TenantBatch:
     sequence: int
     handles: list[QueryHandle]
 
-    @property
-    def reports(self) -> list[ExecutionReport]:
-        """The batch's reports, in submission order."""
-        return [handle.report for handle in self.handles]
-
-    @property
-    def elapsed_seconds(self) -> list[float]:
-        """Per-query virtual service latency, in submission order."""
-        return [handle.report.elapsed_seconds for handle in self.handles]
-
 
 class Frontend:
     """Multi-tenant serving layer over one :class:`~repro.host.db.Database`.
 
     Thousands of in-flight queries are held as cheap
     :class:`QueryHandle` tickets; nothing touches the simulator until
-    :meth:`gather` runs the cycle.
+    :meth:`gather` runs the cycle. ``scheduler`` is the scheduler the
+    cycle runs on; by default the frontend builds its own.
     """
 
     def __init__(self, db: Any, config: Optional[ServeConfig] = None,
-                 tenants: tuple[TenantSpec, ...] = ()):
+                 tenants: tuple[TenantSpec, ...] = (),
+                 scheduler: Optional[QueryScheduler] = None):
         self.db = db
         self.config = config or ServeConfig()
-        scheduler_config = self.config.scheduler
-        if (self.config.backend is not None
-                and self.config.backend != scheduler_config.backend):
-            scheduler_config = replace(scheduler_config,
-                                       backend=self.config.backend)
-        self.scheduler = QueryScheduler(db, scheduler_config)
+        self.scheduler = scheduler or QueryScheduler(db, SchedulerConfig(
+            backend=self.config.backend or "serial"))
         self.cache = ResultCache(self.config.cache_capacity)
-        self._tenants: dict[str, TenantSpec] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._pending: list[QueryHandle] = []
         self._sequences: dict[str, int] = {}
@@ -185,22 +154,16 @@ class Frontend:
 
     def register_tenant(self, spec: TenantSpec) -> TenantSpec:
         """Declare a tenant's service contract before it submits."""
-        if spec.name in self._tenants:
+        if spec.name in self._buckets:
             raise PlanError(f"tenant {spec.name!r} already registered")
-        self._tenants[spec.name] = spec
         self._buckets[spec.name] = TokenBucket(spec)
         return spec
 
-    def tenant_names(self) -> list[str]:
-        """Every tenant seen so far, sorted."""
-        return sorted(self._tenants)
-
     def _bucket(self, tenant: str) -> TokenBucket:
         if tenant not in self._buckets:
-            spec = TenantSpec(tenant, rate=self.config.default_rate,
-                              burst=self.config.default_burst)
-            self._tenants[tenant] = spec
-            self._buckets[tenant] = TokenBucket(spec)
+            self._buckets[tenant] = TokenBucket(TenantSpec(
+                tenant, rate=self.config.default_rate,
+                burst=self.config.default_burst))
         return self._buckets[tenant]
 
     # -- submission --------------------------------------------------------
@@ -214,7 +177,8 @@ class Frontend:
         the cycle. Raises :class:`~repro.errors.AdmissionRejected` when
         the tenant's pending backlog exceeds the configured bound, and
         :class:`~repro.errors.ShardUnavailable` when the query's sharded
-        table references a detached device.
+        table references a detached device
+        (:meth:`~repro.sched.scheduler.QueryScheduler.check_table`).
         """
         if not isinstance(query, Query):
             raise PlanError(
@@ -229,7 +193,7 @@ class Frontend:
                 f"tenant {tenant!r} already has {backlog} queries pending "
                 f"(max_queue_per_tenant="
                 f"{self.config.max_queue_per_tenant}); gather or back off")
-        self._check_table(query)
+        self.scheduler.check_table(query.table)
         handle = QueryHandle(index=self._submitted_total, query=query,
                              tenant=tenant,
                              placement=Placement.coerce(placement),
@@ -240,20 +204,6 @@ class Frontend:
         if obs is not None:
             obs.metrics.counter("serve.submitted", tenant=tenant).inc()
         return handle
-
-    def _check_table(self, query: Query) -> None:
-        catalog = self.db.catalog
-        if not catalog.is_sharded(query.table):
-            catalog.table(query.table)  # raises CatalogError when unknown
-            return
-        sharded = catalog.sharded(query.table)
-        for index, name in enumerate(sharded.device_names):
-            try:
-                self.db.device(name)
-            except CatalogError:
-                raise ShardUnavailable(
-                    f"shard {index} of {query.table!r} lives on device "
-                    f"{name!r}, which is not attached") from None
 
     @property
     def pending_count(self) -> int:
@@ -275,22 +225,20 @@ class Frontend:
         with its bump suppressed, and the *logical* table version rises
         exactly once after the last shard flushed — a cache entry can
         never bind a version in which some shards are new and others old.
+        A replicated table's copies count once in the returned rows.
         """
-        catalog = self.db.catalog
-        if catalog.is_sharded(table_name):
-            names = [shard.name
-                     for shard in catalog.sharded(table_name).shards]
-        else:
-            catalog.table(table_name)
-            names = [table_name]
+        relation = self.db.catalog.relation(table_name)
+        sharded = isinstance(relation, ShardedTable)
         start = self.db.sim.now
-        changed = 0
-        for name in names:
-            changed += self.db.update_rows(name, predicate, assignments,
-                                           bump_version=False)
-            self.db.flush_table(name)
+        counts = []
+        for table in relation.shards if sharded else (relation,):
+            counts.append(self.db.update_rows(table.name, predicate,
+                                              assignments,
+                                              bump_version=False))
+            self.db.flush_table(table.name)
+        changed = relation.logical_rows(counts) if sharded else counts[0]
         if changed:
-            catalog.bump_version(table_name)
+            self.db.catalog.bump_version(table_name)
         obs = self.db.sim.obs
         if obs is not None:
             obs.metrics.counter("serve.invalidations",
@@ -308,13 +256,15 @@ class Frontend:
         Deterministic: token grants are computed sequentially in
         ``(arrival, submission)`` order, cache keys bind the table
         versions current at cycle start, and the device batch runs under
-        the discrete-event simulator. Raises
-        :class:`~repro.errors.ShardUnavailable` (chained to the
-        :class:`~repro.errors.DeviceTimeoutError`) when a shard's device
-        answers neither pushdown nor block reads.
+        the discrete-event simulator. The scheduler's window also runs
+        whatever else is pending on it, so a write ticket submitted beside
+        served queries lands in the same window. Raises
+        :class:`~repro.errors.ShardUnavailable` from the scheduler when a
+        shard's device answers neither pushdown nor block reads.
         """
         pending, self._pending = self._pending, []
         if not pending:
+            self.scheduler.gather()
             return {}
         db = self.db
         obs = db.sim.obs
@@ -337,8 +287,7 @@ class Frontend:
                     "serve.qos_delay_seconds",
                     tenant=handle.tenant).observe(handle.qos_delay_seconds)
 
-        runs: list[tuple[QueryHandle, Optional[ScatterPlan],
-                         Optional[tuple], list[Submission]]] = []
+        runs = []
         catalog = db.catalog
         for handle in pending:
             key = None
@@ -351,59 +300,45 @@ class Frontend:
                     if obs is not None:
                         obs.metrics.counter("serve.cache_hits",
                                             tenant=handle.tenant).inc()
-                        # Hits are served queries too: without these the
-                        # serving histograms only described misses, and
-                        # p50 latency *rose* as the hit rate improved.
-                        obs.metrics.histogram("serve.fan_out").observe(
-                            handle.fan_out)
-                        obs.metrics.histogram(
-                            "serve.latency_seconds", tenant=handle.tenant,
-                        ).observe(handle.report.elapsed_seconds)
                     continue
                 if obs is not None:
                     obs.metrics.counter("serve.cache_misses",
                                         tenant=handle.tenant).inc()
-            if catalog.is_sharded(handle.query.table):
-                plan = plan_scatter(db, handle.query)
-                handle.fan_out = plan.fan_out
-                handle.pruned_shards = len(plan.pruned_shards)
-                tickets = [self.scheduler.submit(q, handle.placement,
-                                                 at=handle.admitted_at)
-                           for q in plan.shard_queries]
-            else:
-                plan = None
-                handle.fan_out = 1
-                query = (replace(handle.query, finalize=None)
-                         if handle.query.aggregates else handle.query)
-                tickets = [self.scheduler.submit(query, handle.placement,
-                                                 at=handle.admitted_at)]
-            runs.append((handle, plan, key, tickets))
+            # Finalize runs here, over the merged state the cache keeps.
+            query = (replace(handle.query, finalize=None)
+                     if handle.query.aggregates else handle.query)
+            runs.append((handle, key, self.scheduler.submit(
+                query, handle.placement, at=handle.admitted_at)))
 
         start = db.sim.now
         try:
-            reports = self.scheduler.gather()
-        except DeviceTimeoutError as exc:
+            self.scheduler.gather()
+        finally:
             if span is not None:
+                span.set(cache_hits=sum(1 for h in pending if h.cached))
                 span.finish()
-            # A shard whose device answers neither pushdown nor block
-            # reads has no replica to fall back on: name it.
-            dead = next(((handle, ticket)
-                         for handle, plan, __, tickets in runs
-                         if plan is not None for ticket in tickets
-                         if ticket.done_at is None), None)
-            if dead is None:
-                raise
-            handle, ticket = dead
-            shard = catalog.table(ticket.query.table)
-            raise ShardUnavailable(
-                f"shard {shard.name!r} of {handle.query.table!r} on "
-                f"device {shard.device_name!r} is unreachable: {exc}"
-            ) from exc
-        for handle, plan, key, tickets in runs:
-            shard_reports = [reports[ticket.index] for ticket in tickets]
-            handle.report = self._merge_reports(handle, plan, key, tickets,
-                                                shard_reports, start)
+        for handle, key, ticket in runs:
+            plan = ticket.plan
+            handle.fan_out = 1 if plan is None else plan.fan_out
+            handle.pruned_shards = 0 if plan is None else len(
+                plan.pruned_shards)
+            rows = state = ticket.report.rows
+            if handle.query.aggregates:
+                state = merge_scatter_state(handle.query, [rows])
+                rows = _finalize_aggregates(handle.query, state)
+            if key is not None:
+                self.cache.put(key, state)
+            handle.report = replace(
+                ticket.report, rows=rows,
+                elapsed_seconds=ticket.done_at - start - handle.arrival)
+
+        grouped: dict[str, list[QueryHandle]] = {}
+        for handle in pending:
+            grouped.setdefault(handle.tenant, []).append(handle)
             if obs is not None:
+                # Hits are served queries too: without them the serving
+                # histograms only described misses, and p50 latency
+                # *rose* as the hit rate improved.
                 obs.metrics.histogram("serve.fan_out").observe(
                     handle.fan_out)
                 if handle.pruned_shards:
@@ -412,14 +347,6 @@ class Frontend:
                 obs.metrics.histogram(
                     "serve.latency_seconds", tenant=handle.tenant,
                 ).observe(handle.report.elapsed_seconds)
-
-        if span is not None:
-            span.set(cache_hits=sum(1 for h in pending if h.cached))
-            span.finish()
-
-        grouped: dict[str, list[QueryHandle]] = {}
-        for handle in pending:
-            grouped.setdefault(handle.tenant, []).append(handle)
         batches = {}
         for tenant in sorted(grouped):
             sequence = self._sequences.get(tenant, 0) + 1
@@ -438,53 +365,12 @@ class Frontend:
             rows = _finalize_aggregates(query, value)
         else:
             rows = value
-        catalog = self.db.catalog
-        layout = (catalog.sharded(query.table).layout
-                  if catalog.is_sharded(query.table)
-                  else catalog.table(query.table).layout)
         return ExecutionReport(
             rows=rows,
             elapsed_seconds=self.config.cache_hit_seconds,
             placement="cache",
             device_name="host-cache",
-            layout=layout.value,
-        )
-
-    def _merge_reports(self, handle: QueryHandle,
-                       plan: Optional[ScatterPlan],
-                       key: Optional[tuple],
-                       tickets: list[Submission],
-                       shard_reports: list[ExecutionReport],
-                       start: float) -> ExecutionReport:
-        """Fold per-shard reports into the logical query's report."""
-        query = handle.query
-        shard_rows = [report.rows for report in shard_reports]
-        if query.aggregates:
-            state = merge_scatter_state(query, shard_rows)
-            if key is not None:
-                self.cache.put(key, state)
-            rows = _finalize_aggregates(query, state)
-        else:
-            rows = (merge_scatter_rows(plan, shard_rows)
-                    if plan is not None else shard_rows[0])
-            if key is not None:
-                self.cache.put(key, rows)
-        counters = WorkCounters()
-        for report in shard_reports:
-            counters.add(report.counters)
-        done_at = max(ticket.done_at for ticket in tickets)
-        devices = list(dict.fromkeys(report.device_name
-                                     for report in shard_reports))
-        return ExecutionReport(
-            rows=rows,
-            elapsed_seconds=done_at - start - handle.arrival,
-            placement=shard_reports[0].placement,
-            device_name=",".join(devices),
-            layout=shard_reports[0].layout,
-            counters=counters,
-            energy=shard_reports[0].energy,
-            host_cpu_core_seconds=shard_reports[0].host_cpu_core_seconds,
-            profile=shard_reports[0].profile,
+            layout=self.db.catalog.relation(query.table).layout.value,
         )
 
     # -- lifecycle ---------------------------------------------------------

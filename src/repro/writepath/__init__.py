@@ -20,9 +20,10 @@ accounting of the whole group's write-back (host page programs, GC
 relocations and erases, and the resulting write amplification).
 
 Version bookkeeping preserves the serving layer's invalidation contract:
-each unit bumps its table's logical content version exactly once, after
-its rows are applied, so result-cache entries keyed on the old version
-become unreachable the moment the data changes.
+the scheduler bumps a statement's logical table version exactly once when
+its window ends (a sharded statement runs one unit per shard and still
+bumps once), so result-cache entries keyed on the old version become
+unreachable before any later window can read them.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ class WriteTicket:
 
     Write tickets live in their own index space (``windex``), separate
     from query submissions — scan reports keep their positional contract
-    (``reports[submission.index]``) no matter how many writes ran in the
-    same gather window.
+    no matter how many writes ran in the same gather window. A statement
+    over a sharded table runs as one unit per shard (``shards``), folded
+    back into this ticket by :meth:`absorb`.
     """
 
-    windex: int
+    windex: int                   # position in the window's write order
     table: str
     predicate: Any
     assignments: Mapping[str, Any]
@@ -68,6 +70,7 @@ class WriteTicket:
     host_writes: int = 0          # pages the flush programmed for the host
     gc_relocations: int = 0       # live pages GC moved behind the flush
     gc_erases: int = 0            # blocks GC erased behind the flush
+    shards: list["WriteTicket"] = field(default_factory=list)
 
     @property
     def write_amplification(self) -> float:
@@ -78,6 +81,39 @@ class WriteTicket:
         if self.host_writes == 0:
             return 0.0
         return (self.host_writes + self.gc_relocations) / self.host_writes
+
+    def split(self, catalog: Any, first: int) -> list["WriteTicket"]:
+        """The write units this statement runs as, numbered from
+        ``first``: itself on a plain table, one per shard (or copy) on a
+        sharded one."""
+        if not catalog.is_sharded(self.table):
+            self.windex = first
+            return [self]
+        self.shards = [WriteTicket(first + i, shard.name, self.predicate,
+                                   self.assignments, self.arrival)
+                       for i, shard in enumerate(
+                           catalog.sharded(self.table).shards)]
+        return self.shards
+
+    def absorb(self, catalog: Any) -> None:
+        """Fold the per-shard units into this statement's accounting.
+
+        Rows changed count the logical relation
+        (:meth:`~repro.host.catalog.ShardedTable.logical_rows`); page and
+        FTL work sum over every unit, copies included.
+        """
+        shards = self.shards
+        self.rows_changed = catalog.sharded(self.table).logical_rows(
+            [shard.rows_changed for shard in shards])
+        for name in ("pages_flushed", "host_writes", "gc_relocations",
+                     "gc_erases"):
+            setattr(self, name, sum(getattr(shard, name) for shard in shards))
+        self.flushed = any(shard.flushed for shard in shards)
+        self.admission_wait = max(shard.admission_wait for shard in shards)
+        if all(shard.done_at is not None for shard in shards):
+            self.done_at = max(shard.done_at for shard in shards)
+        for shard in shards:
+            self.counters.add(shard.counters)
 
 
 def write_unit_process(scheduler: "QueryScheduler", ticket: WriteTicket,
@@ -121,11 +157,6 @@ def write_unit_process(scheduler: "QueryScheduler", ticket: WriteTicket,
             if not scheduler.config.group_flush \
                     or countdown[ticket.table] == 0:
                 yield from _flush_and_account(scheduler, ticket, kwargs)
-            if rows:
-                # One logical bump per unit, after its rows are applied:
-                # serving-layer cache entries keyed on the old version
-                # become unreachable (same contract as update_process).
-                db.catalog.bump_version(ticket.table)
         finally:
             scheduler._write_admission[device_name].release()
         ticket.done_at = sim.now

@@ -1,6 +1,7 @@
 """Tests for the experiment CLI."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -43,9 +44,9 @@ class TestCommands:
     def test_run_persists_tables(self, tmp_path):
         out = io.StringIO()
         assert cmd_run(["fig1", "table2"], tmp_path, out=out) == 0
-        assert (tmp_path / "fig1.txt").exists()
-        assert (tmp_path / "table2.txt").exists()
-        assert "Table 2" in (tmp_path / "table2.txt").read_text()
+        assert (tmp_path / "figure_1.txt").exists()
+        assert (tmp_path / "table_2.txt").exists()
+        assert "Table 2" in (tmp_path / "table_2.txt").read_text()
 
     def test_json_output(self, tmp_path):
         import json
@@ -54,7 +55,7 @@ class TestCommands:
         payload = json.loads(out.getvalue())
         assert payload["experiment"].startswith("Figure 1")
         assert payload["rows"]
-        on_disk = json.loads((tmp_path / "fig1.json").read_text())
+        on_disk = json.loads((tmp_path / "figure_1.json").read_text())
         assert on_disk["headers"] == payload["headers"]
 
     def test_to_dict_round_trips_through_json(self):
@@ -62,6 +63,14 @@ class TestCommands:
         from repro.bench.figures import fig1_bandwidth_trends
         result = fig1_bandwidth_trends()
         assert json.loads(json.dumps(result.to_dict()))["rows"]
+
+    def test_run_all_writes_the_golden_names(self):
+        """``run all -o DIR`` writes exactly the files under results/ (E7
+        has no golden), so CI can compare the two directories by name."""
+        written = {f"{stem}.txt" for name, (stem, __, __) in
+                   EXPERIMENTS.items() if name != "e7"}
+        results = Path(__file__).resolve().parent.parent / "results"
+        assert written == {path.name for path in results.iterdir()}
 
     def test_registry_covers_all_paper_artifacts(self):
         """Every evaluated table/figure of the paper has a CLI entry."""
